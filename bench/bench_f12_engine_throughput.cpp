@@ -1,6 +1,6 @@
-// F12 — phase-1 engine throughput: the incremental frontier/shard engine
-// against the central-DualState reference engine (the pre-incremental
-// implementation, preserved as EngineImpl::kCentralReference), at growing
+// F12 — phase-1 engine throughput: the frontier/shard engine against the
+// central-DualState reference engine (the pre-incremental implementation,
+// kept in the test-support library as reference::solve), at growing
 // instance counts on line and tree workloads.
 //
 // The reference engine pays O(|members| * path_len) per step — every step
@@ -19,14 +19,12 @@
 //    every instance is touched anyway; the two engines are near parity,
 //    with the incremental engine paying its propagation constant.
 //
-// The parallel arms sweep threads in {1, 2, 4, 8} on the persistent
-// component forest, plus a threads=4 arm on the legacy per-epoch
-// recompute (use_component_forest = false) so the series records both
-// sides of the epoch-setup ablation; every arm emits its
-// epoch_setup_ns / forest_build_ns / merge_ns breakdown (bench_f13
-// isolates the setup cost and enforces the >= 2x gate).
+// The engine arms sweep threads in {1, 2, 4, 8}: threads=1 runs each
+// epoch's group inline as one component, the others run the persistent
+// component forest on a worker pool; every arm emits its
+// epoch_setup_ns / forest_build_ns / merge_ns breakdown.
 //
-// All engines produce bit-identical output (tests/test_engine_parity,
+// All arms produce bit-identical output (tests/test_engine_parity,
 // tests/test_component_forest), so every row below differs only in wall
 // time, never in results.
 #include <chrono>
@@ -37,6 +35,7 @@
 #include "decomp/layered.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/trace.hpp"
+#include "support/central_reference.hpp"
 #include "workload/scenario.hpp"
 
 using namespace treesched;
@@ -46,18 +45,13 @@ namespace {
 
 struct Arm {
   const char* name;
-  EngineImpl engine;
+  bool central;  // the reference engine instead of TwoPhaseEngine
   int threads;
-  bool forest;
 };
 
 constexpr Arm kArms[] = {
-    {"central", EngineImpl::kCentralReference, 1, true},
-    {"incr-t1", EngineImpl::kIncremental, 1, true},
-    {"incr-t2", EngineImpl::kIncremental, 2, true},
-    {"incr-t4", EngineImpl::kIncremental, 4, true},
-    {"incr-t8", EngineImpl::kIncremental, 8, true},
-    {"incr-t4-legacy", EngineImpl::kIncremental, 4, false},
+    {"central", true, 1},  {"incr-t1", false, 1}, {"incr-t2", false, 2},
+    {"incr-t4", false, 4}, {"incr-t8", false, 8},
 };
 
 struct Measurement {
@@ -75,11 +69,10 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
   SolverConfig config;
   config.epsilon = 0.1;
   config.lockstep = lockstep;
-  config.engine = arm.engine;
   config.threads = arm.threads;
-  config.use_component_forest = arm.forest;
   const auto start = std::chrono::steady_clock::now();
-  const SolveResult run = solve_with_plan(p, plan, config);
+  const SolveResult run = arm.central ? reference::solve(p, plan, config)
+                                      : solve_with_plan(p, plan, config);
   const auto stop = std::chrono::steady_clock::now();
   if (!run.stats.mis_ok)
     std::fprintf(stderr,
@@ -144,8 +137,6 @@ int main(int argc, char** argv) {
 
   std::vector<JsonRecord> runs;
   double largest_speedup = 0.0;
-  double largest_derive_forest = 0.0, largest_build_forest = 0.0;
-  double largest_setup_legacy = 0.0;
 
   for (const bool lockstep : {true, false}) {
     Table table(std::string("F12  ") +
@@ -165,8 +156,7 @@ int main(int argc, char** argv) {
         double central_ms = 0.0;
         for (const Arm& arm : kArms) {
           const Measurement m = run_engine(p, plan, arm, lockstep);
-          if (arm.engine == EngineImpl::kCentralReference)
-            central_ms = m.wall_ms;
+          if (arm.central) central_ms = m.wall_ms;
           const double speedup =
               m.wall_ms > 0.0 ? central_ms / m.wall_ms : 0.0;
           const double setup_total_ns = m.epoch_setup_ns + m.forest_build_ns;
@@ -176,15 +166,16 @@ int main(int argc, char** argv) {
                          fmt(m.steps_per_sec, 0), fmt(speedup, 2),
                          fmt(setup_total_ns * 1e-6, 2),
                          fmt(m.merge_ns * 1e-6, 2)});
+          // "forest" stays a join key of the committed series; it is 1
+          // on every row since the per-epoch recompute arm was retired.
           runs.push_back(
               {{"workload", static_cast<double>(workload)},
                {"n", static_cast<double>(n)},
                {"instances", static_cast<double>(p.num_instances())},
                {"lockstep", lockstep ? 1.0 : 0.0},
-               {"engine",
-                arm.engine == EngineImpl::kCentralReference ? 0.0 : 1.0},
+               {"engine", arm.central ? 0.0 : 1.0},
                {"threads", static_cast<double>(arm.threads)},
-               {"forest", arm.forest ? 1.0 : 0.0},
+               {"forest", 1.0},
                {"steps", static_cast<double>(m.steps)},
                {"wall_ms", m.wall_ms},
                {"steps_per_sec", m.steps_per_sec},
@@ -196,19 +187,8 @@ int main(int argc, char** argv) {
           // The acceptance gate: incremental (threads=1) at the largest
           // line size under the distributed schedule.
           if (lockstep && workload == 0 && n == sizes.back() &&
-              arm.engine == EngineImpl::kIncremental && arm.threads == 1)
+              !arm.central && arm.threads == 1)
             largest_speedup = speedup;
-          // Epoch-setup ablation readout at the largest size per
-          // workload: forest derive (+ one-time build, reported
-          // separately) vs legacy per-epoch union-find, threads=4 arms.
-          if (lockstep && n == sizes.back() && arm.threads == 4) {
-            if (arm.forest) {
-              largest_derive_forest += m.epoch_setup_ns;
-              largest_build_forest += m.forest_build_ns;
-            } else {
-              largest_setup_legacy += m.epoch_setup_ns;
-            }
-          }
         }
       }
     }
@@ -220,25 +200,14 @@ int main(int argc, char** argv) {
               "%.2fx %s\n",
               largest_speedup, largest_speedup >= 5.0 ? "(>= 5x: PASS)"
                                                       : "(< 5x: REGRESSION)");
-  if (largest_derive_forest > 0.0)
-    std::printf("largest-size per-epoch setup (line+tree, t4): legacy "
-                "union-find %.2fms vs forest derive %.2fms (%.0fx lower; "
-                "one-time forest build %.2fms, so build+derive is %.1fx "
-                "lower even unamortized)\n",
-                largest_setup_legacy * 1e-6, largest_derive_forest * 1e-6,
-                largest_setup_legacy / largest_derive_forest,
-                largest_build_forest * 1e-6,
-                largest_setup_legacy /
-                    (largest_derive_forest + largest_build_forest));
   std::printf("expected shape: lockstep speedup grows with instance count "
               "(the eliminated rescan is steps * |members| * path_len); "
               "adaptive stays near 1x because nearly every stage touches "
               "every member once anyway.  The threads sweep is "
               "determinism-preserving parallelism: on few-core hosts the "
-              "extra threads oversubscribe, but the forest cuts the "
-              "per-epoch setup and the deferred merge parallelizes the "
-              "out-of-group propagation, so the t4 arm's overhead vs t1 "
-              "shrinks relative to the PR 4 merge.\n");
+              "extra threads oversubscribe; the forest keeps the "
+              "per-epoch setup to span slicing and the deferred merge "
+              "parallelizes the out-of-group propagation.\n");
   if (!trace_path.empty()) {
     const Problem p = line_workload(2048);
     const LayeredPlan plan = build_line_layered_plan(p);

@@ -41,11 +41,11 @@ const std::vector<int>& Runtime::channels(int node) const {
 void Runtime::post(Message m) {
   TS_REQUIRE(valid(m.from) && valid(m.to));
   TS_REQUIRE(connected(m.from, m.to));
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++messages_sent_;
   // 16-byte header (from, to, tag, length) + 8 bytes per payload double —
   // the exact size the serialized codec produces.
   const std::int64_t bytes = message_wire_bytes(m);
-  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_sent_ += bytes;
   if (obs::tracing_enabled()) note_post(m.tag, bytes);
   transport_->post(std::move(m));
 }

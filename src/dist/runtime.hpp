@@ -26,8 +26,8 @@
 // parity tests.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/prelude.hpp"
@@ -53,9 +53,7 @@ class Runtime {
   const std::vector<int>& channels(int node) const;
 
   // Queues `m` for delivery at the next round boundary.  Requires an open
-  // channel between m.from and m.to.  Safe to call from concurrent
-  // threads on the kThreadedSerialized backend (between boundaries, with
-  // no concurrent connect); single-threaded otherwise.
+  // channel between m.from and m.to.  Single-threaded, like every call.
   void post(Message m);
 
   // Advances the round boundary: every message posted since the previous
@@ -76,12 +74,8 @@ class Runtime {
 
   int num_nodes() const { return num_nodes_; }
   int round() const { return round_; }
-  std::int64_t messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  std::int64_t bytes_sent() const {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
+  std::int64_t messages_sent() const { return messages_sent_; }
+  std::int64_t bytes_sent() const { return bytes_sent_; }
 
   // The resolved backend, and its codec-hit counters (zero on the
   // in-proc path; == messages_sent on the serialized paths once every
@@ -112,10 +106,8 @@ class Runtime {
   std::unique_ptr<Transport> transport_;      // the message movement
   std::vector<std::vector<Message>> free_list_;  // recycled inboxes
   int round_ = 0;
-  // Relaxed atomics so concurrent posts on the threaded backend count
-  // correctly; the totals are deterministic on every backend.
-  std::atomic<std::int64_t> messages_sent_{0};
-  std::atomic<std::int64_t> bytes_sent_{0};
+  std::int64_t messages_sent_ = 0;
+  std::int64_t bytes_sent_ = 0;
   // Marks for the per-round trace spans: where the current round began
   // and the counter values at that point (-1 = tracing was off at the
   // last boundary, so the next boundary only re-arms).

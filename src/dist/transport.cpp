@@ -1,10 +1,8 @@
 #include "dist/transport.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -19,8 +17,6 @@ const char* to_string(TransportKind kind) {
       return "inproc";
     case TransportKind::kSerialized:
       return "serialized";
-    case TransportKind::kThreadedSerialized:
-      return "threaded";
     case TransportKind::kFaulty:
       return "faulty";
   }
@@ -30,11 +26,9 @@ const char* to_string(TransportKind kind) {
 TransportKind parse_transport_kind(const std::string& name) {
   if (name == "inproc") return TransportKind::kInProc;
   if (name == "serialized") return TransportKind::kSerialized;
-  if (name == "threaded" || name == "threaded-serialized")
-    return TransportKind::kThreadedSerialized;
   if (name == "faulty") return TransportKind::kFaulty;
   check_input(false, "unknown transport '" + name +
-                         "' (expected inproc|serialized|threaded|faulty)");
+                         "' (expected inproc|serialized|faulty)");
   return TransportKind::kInProc;  // unreachable
 }
 
@@ -337,66 +331,10 @@ class SerializedTransport final : public Transport {
   std::int64_t decoded_ = 0;
 };
 
-// The serialized wire with each destination's staging queue behind its
-// own mutex: concurrent threads may post between round boundaries, and
-// distinct nodes' inboxes may be drained concurrently (each drain only
-// touches its own box).  flush() stays the single driver-side barrier —
-// the caller must guarantee no post is in flight across it, exactly the
-// synchronous-model discipline Runtime::step already imposes.
-class ThreadedSerializedTransport final : public Transport {
- public:
-  explicit ThreadedSerializedTransport(int num_nodes)
-      : box_(static_cast<std::size_t>(num_nodes)),
-        mutex_(std::make_unique<std::mutex[]>(
-            static_cast<std::size_t>(num_nodes))) {}
-
-  void post(Message m) override {
-    const auto to = static_cast<std::size_t>(m.to);
-    std::lock_guard<std::mutex> lock(mutex_[to]);
-    encode_message(m, box_[to].staging);
-    ++box_[to].staged_count;
-    encoded_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void flush() override {
-    for (std::size_t v = 0; v < box_.size(); ++v) {
-      std::lock_guard<std::mutex> lock(mutex_[v]);
-      flush_box(box_[v]);
-    }
-  }
-
-  void drain(int node, std::vector<Message>& out) override {
-    const auto v = static_cast<std::size_t>(node);
-    std::lock_guard<std::mutex> lock(mutex_[v]);
-    std::int64_t decoded = 0;
-    drain_box(box_[v], out, decoded);
-    decoded_.fetch_add(decoded, std::memory_order_relaxed);
-  }
-
-  TransportKind kind() const override {
-    return TransportKind::kThreadedSerialized;
-  }
-  const char* round_span_name() const override { return "round.threaded"; }
-  std::int64_t codec_encoded() const override {
-    return encoded_.load(std::memory_order_relaxed);
-  }
-  std::int64_t codec_decoded() const override {
-    return decoded_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<ByteBox> box_;
-  std::unique_ptr<std::mutex[]> mutex_;  // one per destination box
-  std::atomic<std::int64_t> encoded_{0};
-  std::atomic<std::int64_t> decoded_{0};
-};
-
 std::unique_ptr<Transport> make_concrete(TransportKind kind, int num_nodes) {
   switch (kind) {
     case TransportKind::kSerialized:
       return std::make_unique<SerializedTransport>(num_nodes);
-    case TransportKind::kThreadedSerialized:
-      return std::make_unique<ThreadedSerializedTransport>(num_nodes);
     default:
       return std::make_unique<InProcTransport>(num_nodes);
   }
@@ -411,7 +349,7 @@ std::unique_ptr<Transport> make_concrete(TransportKind kind, int num_nodes) {
 // declared lost), and the surviving frames are decoded in posting order
 // into the inner backend — so whenever recovery wins, the inner backend
 // observes a byte stream identical to a fault-free run.  Single-driver,
-// like every non-threaded backend.
+// like every backend.
 class FaultyTransport final : public Transport {
  public:
   FaultyTransport(const FaultPlan& plan, int num_nodes)

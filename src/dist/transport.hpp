@@ -20,12 +20,6 @@
 //                        are reused across rounds; the per-message
 //                        encode/decode hits are counted so tests can
 //                        assert every message really crossed the codec.
-//   kThreadedSerialized  the serialized wire with each destination's
-//                        staging queue behind its own mutex: post() is
-//                        safe from concurrent threads between round
-//                        boundaries, and distinct nodes' delivered
-//                        buffers may be drained concurrently.  step()
-//                        remains the single driver-side barrier.
 //   kFaulty              an *unreliable* channel plus the recovery layer
 //                        that masks it: wraps any inner backend, frames
 //                        every message with a CRC32 and a per-(src,dst)
@@ -82,14 +76,12 @@ enum class TransportKind {
   kDefault,  // resolve via TREESCHED_TRANSPORT (unset -> kInProc)
   kInProc,
   kSerialized,
-  kThreadedSerialized,
   kFaulty,
 };
 
 const char* to_string(TransportKind kind);
-// "inproc" | "serialized" | "threaded" (alias "threaded-serialized") |
-// "faulty"; throws std::invalid_argument on anything else (user-facing
-// flags).
+// "inproc" | "serialized" | "faulty"; throws std::invalid_argument on
+// anything else (user-facing flags).
 TransportKind parse_transport_kind(const std::string& name);
 // Resolves kDefault through the TREESCHED_TRANSPORT environment variable
 // (read once per process, same env-hook pattern as TREESCHED_TRACE in

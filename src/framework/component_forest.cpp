@@ -79,16 +79,16 @@ void ComponentForest::build(const Problem& problem, const LayeredPlan& plan,
       const auto& sibs = problem.instances_of_demand(d);
       chain({sibs.data(), sibs.size()});
     }
-    // One contiguous walk over the CSR inverted index — the same cliques
-    // split_components reaches through per-member path walks, but bucket
-    // by bucket in index order.
+    // One contiguous walk over the CSR inverted index — the cliques a
+    // per-member path walk would reach, but bucket by bucket in index
+    // order.
     for (EdgeId e = 0; e < problem.num_global_edges(); ++e)
       chain(problem.instances_on_edge(e));
   } else {
     // Restricted mask (the wide/narrow split's regime): a CSR walk would
     // touch every instance's entries just to discard the inactive ones,
-    // so walk the *active members'* paths instead — the same per-group
-    // clique chains split_components runs, but once for all groups.
+    // so walk the *active members'* paths instead — the per-group clique
+    // chains, once for all groups.
     edge_last_.assign(static_cast<std::size_t>(problem.num_global_edges()),
                       -1);
     edge_stamp_.assign(edge_last_.size(), 0);

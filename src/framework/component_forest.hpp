@@ -7,24 +7,26 @@
 // component can touch the LHS of another's members).  That partition
 // depends only on static data — the Problem's paths/demands, the plan's
 // group assignment and the active mask — never on the dual state, so
-// recomputing it per epoch (PR 3's split_components: a fresh union-find
-// over every per-edge clique chain, O(sum path) per epoch) repays work
+// recomputing it per epoch (a fresh union-find over every per-edge
+// clique chain, O(sum path) per epoch) repays work
 // the problem structure already fixed.  This class builds the whole
 // forest in ONE pass over the Problem's CSR edge->instances index
 // (contiguous bucket walks instead of scattered per-member path walks)
 // and stores it flat (two-level CSR: group -> components -> members),
 // so an epoch's setup drops to slicing spans + cloning oracles.
 //
-// Determinism contract (what keeps forest-vs-recompute bit-exact, which
-// tests/test_component_forest.cpp enforces with ==):
+// Determinism contract (what keeps the parallel engine bit-exact with the
+// central reference, which tests/test_component_forest.cpp enforces
+// with ==):
 //  * components of a group are ordered by their smallest member *rank*
 //    (rank = position among the group's active members in plan order) —
-//    exactly the order split_components's min-root union-find emits;
+//    exactly the order a min-root union-find over the ranks emits;
 //  * members within a component are in ascending rank;
 //  * hence component_ids(g, c).front() is the same "first member" the
 //    engine keys MisOracle::component_clone streams by
 //    (component_stream_key in two_phase.hpp), so randomized oracles draw
-//    identical per-component streams under either decomposition path.
+//    the same per-component streams the test-support reference's
+//    ComponentStreamOracle hands out.
 //
 // Lifecycle: build() once per (problem, plan, active_mask) combination;
 // TwoPhaseEngine builds lazily on the first parallel run and invalidates

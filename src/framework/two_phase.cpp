@@ -5,11 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <thread>
 #include <utility>
 
-#include "framework/certify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -114,7 +112,7 @@ TwoPhaseEngine::TwoPhaseEngine(const Problem& problem, const LayeredPlan& plan,
     default_oracle_ = std::make_unique<GreedyMis>(problem);
     oracle_ = default_oracle_.get();
   }
-  if (config_.engine == EngineImpl::kIncremental) build_edge_positions();
+  build_edge_positions();
 }
 
 void TwoPhaseEngine::restrict_to(std::vector<InstanceId> active) {
@@ -227,10 +225,7 @@ SolveResult TwoPhaseEngine::run() {
     result.stats.lambda_observed = 1.0;
     return result;
   }
-  if (config_.engine == EngineImpl::kCentralReference)
-    run_central(sched, result);
-  else
-    run_incremental(sched, result);
+  run_phase1(sched, result);
   return result;
 }
 
@@ -242,160 +237,14 @@ SolveResult TwoPhaseEngine::run_warm(const StageParams& pinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Central-reference engine: the pre-incremental implementation, kept as
-// the parity oracle.  Every step rescans the whole member list and
-// recomputes each LHS from scratch over the central DualState.
-
-void TwoPhaseEngine::raise(InstanceId i, DualState& dual,
-                           const RaiseRule& rule, SolveStats& stats,
-                           std::vector<InstanceId>& raised_order,
-                           std::vector<double>& increments) {
-  const DemandInstance& inst = problem_->instance(i);
-  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-  const double lhs = dual.lhs(inst, rule.beta_coeff(inst));
-  const double slack = inst.profit - lhs;
-  TS_DCHECK(slack > 0.0);
-  const double delta = rule.tight_raise(inst, critical, slack, increments);
-  if (config_.raise_alpha) dual.raise_alpha(inst.demand, delta);
-  for (std::size_t c = 0; c < critical.size(); ++c)
-    dual.raise_beta(critical[c], increments[c]);
-  // The raise must satisfy d's constraint tightly (paper, Section 3.2).
-  TS_DCHECK(std::abs(dual.lhs(inst, rule.beta_coeff(inst)) - inst.profit) <=
-            1e-6 * std::max(1.0, inst.profit));
-  ++stats.raises;
-
-  if (config_.check_interference) {
-    // Every previously raised overlapping instance must have a critical
-    // edge on path(i) (the interference property).
-    for (InstanceId prev : raised_order) {
-      if (!problem_->overlap(prev, i)) continue;
-      const auto& path_i = problem_->instance(i).edges;
-      bool hit = false;
-      for (EdgeId e : plan_->critical[static_cast<std::size_t>(prev)]) {
-        if (std::binary_search(path_i.begin(), path_i.end(), e)) {
-          hit = true;
-          break;
-        }
-      }
-      if (!hit) stats.interference_ok = false;
-    }
-  }
-  raised_order.push_back(i);
-
-  if (config_.count_messages) count_notifications(i, stats);
-}
-
-void TwoPhaseEngine::run_central(const StageSchedule& sched,
-                                 SolveResult& result) {
-  SolveStats& stats = result.stats;
-  DualState dual(*problem_);
-  const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
-                       config_.capacity_aware_raises);
-
-  std::vector<std::vector<InstanceId>> stack;
-  std::vector<InstanceId> raised_order;
-  std::vector<InstanceId> members, unsatisfied;
-  std::vector<double> increments;
-
-  for (int g = 0; g < plan_->num_groups; ++g) {
-    members.clear();
-    for (InstanceId i : plan_->members[static_cast<std::size_t>(g)])
-      if (is_active(i)) members.push_back(i);
-    if (members.empty()) continue;
-    ++stats.epochs;
-    TRACE_SPAN1("engine", "epoch", "group", g);
-
-    for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-      const double target = stage_target(sched, j);
-      ++stats.stages;
-      TRACE_SPAN2("engine", "stage", "group", g, "stage", j);
-      int steps_this_stage = 0;
-      int rows_this_stage = 0;
-      for (;;) {
-        unsatisfied.clear();
-        for (InstanceId i : members) {
-          const DemandInstance& inst = problem_->instance(i);
-          const double lhs = dual.lhs(inst, rule.beta_coeff(inst));
-          if (lhs < target * inst.profit - kEps * inst.profit)
-            unsatisfied.push_back(i);
-        }
-        if (config_.lockstep) {
-          if (steps_this_stage >= sched.lockstep_budget) {
-            // The budget is exhausted; Lemma 5.1 predicts U is empty.
-            if (!unsatisfied.empty()) stats.lockstep_ok = false;
-            break;
-          }
-          if (unsatisfied.empty()) {
-            // Idle step: processors still execute the protocol (they
-            // cannot observe global emptiness) — 2 MIS rounds + 1
-            // propagation round of silence.
-            ++stats.steps;
-            ++steps_this_stage;
-            stats.mis_rounds += 2;
-            stats.comm_rounds += 3;
-            continue;
-          }
-        } else if (unsatisfied.empty()) {
-          break;
-        }
-        const MisResult mis = oracle_->run(
-            std::span<const InstanceId>(unsatisfied.data(),
-                                        unsatisfied.size()));
-        ++stats.steps;
-        ++steps_this_stage;
-        stats.mis_rounds += mis.rounds;
-        stats.comm_rounds += mis.rounds + 1;  // +1: dual propagation
-        stats.mis_retries += mis.retries;
-        if (mis.selected.empty()) {
-          // A budgeted randomized oracle can fail to decide anyone.
-          // Mirror the protocol: the step's rounds are spent in silence.
-          // In lockstep mode the fixed budget bounds the retries; in
-          // adaptive mode no progress is possible, so the stage ends
-          // short (flagged through lockstep_ok below).
-          stats.mis_ok = false;
-          ++stats.mis_failed_steps;
-          TRACE_COUNTER("engine.mis_failed_steps", 1);
-          if (config_.lockstep) continue;
-          stats.lockstep_ok = false;
-          break;
-        }
-        for (InstanceId i : mis.selected)
-          raise(i, dual, rule, stats, raised_order, increments);
-        if (config_.keep_stack)
-          stack_tags_.push_back(StackTag{g, j, rows_this_stage});
-        ++rows_this_stage;
-        stack.push_back(mis.selected);
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-      }
-      stats.max_steps_in_stage =
-          std::max(stats.max_steps_in_stage, steps_this_stage);
-    }
-  }
-
-  // Certification: observed slackness over active instances and the
-  // resulting feasible-dual upper bound (weak duality after scaling).
-  stats.dual_objective = dual.objective();
-  stats.lambda_observed =
-      observed_lambda(*problem_, dual, rule, active_mask_);
-  if (config_.keep_lhs) {
-    for (InstanceId i = 0; i < problem_->num_instances(); ++i) {
-      if (!is_active(i)) continue;
-      const DemandInstance& inst = problem_->instance(i);
-      result.final_lhs[static_cast<std::size_t>(i)] =
-          dual.lhs(inst, rule.beta_coeff(inst));
-    }
-  }
-  finish(result, stack);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental engine: per-instance DualShard stores + cached LHS + the
-// per-stage unsatisfied frontier.  Raises propagate through the CSR
-// edge->instances index to exactly the instances whose constraints read a
-// raised variable; everyone else's cached LHS stays valid.  All arithmetic
-// (the ordered beta walk, the objective accumulation order) deliberately
-// replays the central engine's operation order, so the two paths agree
-// bit for bit — tests/test_engine_parity.cpp compares with ==.
+// Phase 1: per-instance DualShard stores + cached LHS + the per-stage
+// unsatisfied frontier.  Raises propagate through the CSR edge->instances
+// index to exactly the instances whose constraints read a raised
+// variable; everyone else's cached LHS stays valid.  All arithmetic (the
+// ordered beta walk, the objective accumulation order) deliberately
+// replays the central reference's operation order (one DualState, full
+// rescans), so the two agree bit for bit — tests/test_engine_parity.cpp
+// compares with ==.
 
 void TwoPhaseEngine::build_edge_positions() {
   // Per-(edge, instance) path positions, aligned entry-for-entry with the
@@ -420,15 +269,6 @@ void TwoPhaseEngine::build_edge_positions() {
           static_cast<int>(idx);
     }
   }
-
-  // Component-decomposition scratch; comp_stamp_ stays monotone across
-  // runs, so the stamp arrays never need re-clearing.
-  comp_edge_stamp_.assign(static_cast<std::size_t>(num_edges), 0);
-  comp_edge_rank_.assign(static_cast<std::size_t>(num_edges), 0);
-  comp_demand_stamp_.assign(static_cast<std::size_t>(problem_->num_demands()),
-                            0);
-  comp_demand_rank_.assign(static_cast<std::size_t>(problem_->num_demands()),
-                           0);
   rank_of_.assign(static_cast<std::size_t>(n), -1);
 }
 
@@ -446,14 +286,12 @@ void TwoPhaseEngine::build_local_stores() {
   lhs_fresh_.assign(static_cast<std::size_t>(n), 1);  // all-zero duals
 }
 
-void TwoPhaseEngine::propagate_raise(InstanceId i, double delta,
-                                     std::span<const double> increments,
-                                     PropScope scope, int group) {
+void TwoPhaseEngine::propagate_in_group(InstanceId i, double delta,
+                                        std::span<const double> increments,
+                                        int group) {
   const DemandInstance& inst = problem_->instance(i);
   const auto in_scope = [&](InstanceId k) {
-    if (!is_active(k)) return false;
-    if (scope == PropScope::kAll) return true;
-    return plan_->group[static_cast<std::size_t>(k)] == group;
+    return is_active(k) && plan_->group[static_cast<std::size_t>(k)] == group;
   };
   if (config_.raise_alpha) {
     for (InstanceId k : problem_->instances_of_demand(inst.demand)) {
@@ -510,33 +348,31 @@ void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
   if (config_.count_messages) count_notifications(i, stats);
 }
 
-void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
-                                     SolveResult& result) {
+void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
+                                SolveResult& result) {
   SolveStats& stats = result.stats;
   const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
                        config_.capacity_aware_raises);
   build_local_stores();
   double objective = 0.0;
 
-  // Parallel epoch execution needs a component-local oracle per worker;
-  // an oracle without component_clone support pins the run to the serial
-  // path (which also serves threads == 1).
+  // Parallel epochs need a component-local oracle per conflict
+  // component; with one thread, or an oracle that cannot clone, each
+  // epoch's whole group runs inline as one component on the caller's
+  // oracle, which then sees the same candidate sequence as the reference.
   const bool parallel =
       config_.threads > 1 && oracle_->supports_component_clone();
-  if (parallel) {
-    worker_scratch_.resize(
-        static_cast<std::size_t>(std::max(config_.threads, 1)));
-    if (config_.use_component_forest && !forest_.built()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      forest_.build(*problem_, *plan_, active_mask_);
-      stats.forest_build_ns += elapsed_ns(t0);
-    }
+  worker_scratch_.resize(
+      parallel ? static_cast<std::size_t>(config_.threads) : 1);
+  if (parallel && !forest_.built()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    forest_.build(*problem_, *plan_, active_mask_);
+    stats.forest_build_ns += elapsed_ns(t0);
   }
 
   std::vector<std::vector<InstanceId>> stack;
   std::vector<InstanceId> raised_order;
-  std::vector<InstanceId> members, unsat;
-  std::vector<double> increments;
+  std::vector<InstanceId> members;
 
   for (int g = 0; g < plan_->num_groups; ++g) {
     members.clear();
@@ -546,169 +382,34 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
     ++stats.epochs;
     TRACE_SPAN1("engine", "epoch", "group", g);
 
-    if (parallel) {
-      const auto setup_start = std::chrono::steady_clock::now();
-      const int comp_count = [&] {
-        TRACE_SPAN1("engine", "epoch_setup", "group", g);
-        return config_.use_component_forest ? derive_components(members, g)
-                                            : split_components(members, g);
-      }();
-      stats.epoch_setup_ns += elapsed_ns(setup_start);
-      if (obs::tracing_enabled()) {
-        TRACE_HIST("engine.components_per_epoch", comp_count);
-        for (int c = 0; c < comp_count; ++c)
-          TRACE_HIST("engine.component_size",
-                     comp_pool_[static_cast<std::size_t>(c)].ids.size());
-      }
-      if (comp_count > 1) {
-        // Fixed-size pool over an atomic work index: which worker runs
-        // which component is scheduling-dependent, but each component's
-        // writes are confined to its own members' shards and caches, and
-        // the merge below replays everything in fixed component order —
-        // so the output is independent of the interleaving.
-        std::atomic<int> next{0};
-        const int workers = clamp_workers(comp_count);
-        // Per-worker busy time (loop entry to exhausted work queue);
-        // idle is the pool wall minus that, accumulated into the
-        // metrics registry after the join.
-        std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers),
-                                          0);
-        const auto work = [&](int w) {
-          WorkerScratch& scratch = worker_scratch_[static_cast<std::size_t>(w)];
-          const bool traced = obs::tracing_enabled();
-          const std::int64_t entered_ns = traced ? obs::trace_now_ns() : 0;
-          for (;;) {
-            const int c = next.fetch_add(1);
-            if (c >= comp_count) break;
-            EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-            TRACE_SPAN2("engine", "component", "size", comp.ids.size(),
-                        "group", g);
-            run_component(comp, rule, sched, g, scratch);
-          }
-          if (traced)
-            busy_ns[static_cast<std::size_t>(w)] =
-                obs::trace_now_ns() - entered_ns;
-        };
-        const std::int64_t pool_start_ns =
-            obs::tracing_enabled() ? obs::trace_now_ns() : 0;
-        TRACE_SPAN2("engine", "solve", "group", g, "components", comp_count);
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers) - 1);
-        for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-        work(0);
-        for (std::thread& t : pool) t.join();
-        if (obs::tracing_enabled()) {
-          const std::int64_t pool_wall_ns =
-              obs::trace_now_ns() - pool_start_ns;
-          auto& registry = obs::MetricsRegistry::global();
-          for (int w = 0; w < workers; ++w) {
-            const std::int64_t busy = busy_ns[static_cast<std::size_t>(w)];
-            registry.counter("engine.worker_busy_ns").add(busy);
-            registry.counter("engine.worker_idle_ns")
-                .add(std::max<std::int64_t>(0, pool_wall_ns - busy));
-          }
-        }
-      } else if (comp_count == 1) {
-        TRACE_SPAN2("engine", "component", "size", comp_pool_[0].ids.size(),
-                    "group", g);
-        run_component(comp_pool_[0], rule, sched, g, worker_scratch_[0]);
-      }
-      const auto merge_start = std::chrono::steady_clock::now();
-      {
-        TRACE_SPAN1("engine", "merge", "group", g);
-        merge_components(comp_count, members, rule, sched, g, objective,
-                         stats, stack, raised_order);
-      }
-      stats.merge_ns += elapsed_ns(merge_start);
-      continue;
+    const auto setup_start = std::chrono::steady_clock::now();
+    const int comp_count = [&] {
+      TRACE_SPAN1("engine", "epoch_setup", "group", g);
+      for (std::size_t rank = 0; rank < members.size(); ++rank)
+        rank_of_[static_cast<std::size_t>(members[rank])] =
+            static_cast<int>(rank);
+      return parallel ? derive_components(g) : whole_group(members);
+    }();
+    stats.epoch_setup_ns += elapsed_ns(setup_start);
+    if (obs::tracing_enabled()) {
+      TRACE_HIST("engine.components_per_epoch", comp_count);
+      for (int c = 0; c < comp_count; ++c)
+        TRACE_HIST("engine.component_size",
+                   comp_pool_[static_cast<std::size_t>(c)].ids.size());
     }
-
-    // Serial frontier path.
-    for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-      const double target = stage_target(sched, j);
-      ++stats.stages;
-      TRACE_SPAN2("engine", "stage", "group", g, "stage", j);
-      int steps_this_stage = 0;
-      int rows_this_stage = 0;
-      bool scanned = false;
-      for (;;) {
-        if (!scanned) {
-          // The stage's one member scan — O(1) cached reads; from here
-          // on the frontier only shrinks (raises are monotone within a
-          // stage), so each step filters the previous frontier instead
-          // of rescanning the group.
-          unsat.clear();
-          for (InstanceId i : members)
-            if (unsatisfied_local(i, rule, target)) unsat.push_back(i);
-          scanned = true;
-        } else {
-          std::size_t w = 0;
-          for (std::size_t r = 0; r < unsat.size(); ++r)
-            if (unsatisfied_local(unsat[r], rule, target))
-              unsat[w++] = unsat[r];
-          unsat.resize(w);
-        }
-        if (config_.lockstep) {
-          if (steps_this_stage >= sched.lockstep_budget) {
-            if (!unsat.empty()) stats.lockstep_ok = false;
-            break;
-          }
-          if (unsat.empty()) {
-            ++stats.steps;
-            ++steps_this_stage;
-            stats.mis_rounds += 2;
-            stats.comm_rounds += 3;
-            continue;
-          }
-        } else if (unsat.empty()) {
-          break;
-        }
-        const MisResult mis =
-            oracle_->run(std::span<const InstanceId>(unsat.data(),
-                                                     unsat.size()));
-        ++stats.steps;
-        ++steps_this_stage;
-        stats.mis_rounds += mis.rounds;
-        stats.comm_rounds += mis.rounds + 1;  // +1: dual propagation
-        stats.mis_retries += mis.retries;
-        if (mis.selected.empty()) {
-          stats.mis_ok = false;
-          ++stats.mis_failed_steps;
-          TRACE_COUNTER("engine.mis_failed_steps", 1);
-          if (config_.lockstep) continue;
-          stats.lockstep_ok = false;
-          break;
-        }
-        for (InstanceId i : mis.selected) {
-          const DemandInstance& inst = problem_->instance(i);
-          const auto& critical =
-              plan_->critical[static_cast<std::size_t>(i)];
-          const double slack =
-              inst.profit - lhs_local(i, rule.beta_coeff(inst));
-          TS_DCHECK(slack > 0.0);
-          const double delta =
-              rule.tight_raise(inst, critical, slack, increments);
-          propagate_raise(i, delta, increments, PropScope::kAll, g);
-          bookkeep_raise(i, delta, increments, objective, stats,
-                         raised_order);
-          TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
-                             inst.profit) <=
-                    1e-6 * std::max(1.0, inst.profit));
-        }
-        if (config_.keep_stack)
-          stack_tags_.push_back(StackTag{g, j, rows_this_stage});
-        ++rows_this_stage;
-        stack.push_back(mis.selected);
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-      }
-      stats.max_steps_in_stage =
-          std::max(stats.max_steps_in_stage, steps_this_stage);
+    run_components(comp_count, rule, sched, g);
+    const auto merge_start = std::chrono::steady_clock::now();
+    {
+      TRACE_SPAN1("engine", "merge", "group", g);
+      merge_components(comp_count, members, rule, sched, g, objective, stats,
+                       stack, raised_order);
     }
+    stats.merge_ns += elapsed_ns(merge_start);
   }
 
   // Certification from the local stores alone: every instance reports its
   // own satisfaction level (the same operation sequence as
-  // observed_lambda over the central DualState).
+  // observed_lambda over a central DualState).
   stats.dual_objective = objective;
   double lambda = 1.0;
   bool any = false;
@@ -733,125 +434,47 @@ void TwoPhaseEngine::run_incremental(const StageSchedule& sched,
 }
 
 // ---------------------------------------------------------------------------
-// Parallel epochs: conflict-disjoint components.
+// Epochs as conflict-disjoint components.
 //
 // Within one group, a raise of member i touches beta only on critical
 // edges of path(i) and alpha of i's demand; any member whose constraint
 // reads one of those variables conflicts with i and is therefore in i's
 // connected component of the conflict graph restricted to the group.  So
 // components never read each other's writes during an epoch and can run
-// concurrently; raises reaching *later* groups are deferred and replayed
+// concurrently; raises reaching *other* groups are deferred and replayed
 // by the merge in (step, member-rank) order — exactly the chronological
-// order the serial engine applies them in, which is what keeps the
-// parallel path bit-identical for decomposable (deterministic) oracles.
-//
-// Two decompositions produce the identical partition: the persistent
-// ComponentForest (default; built once per run and sliced per epoch) and
-// the legacy per-epoch union-find below (split_components, kept as the
-// recompute oracle behind SolverConfig::use_component_forest = false and
-// as bench_f13's baseline arm).
+// order the reference applies them in, which is what keeps the parallel
+// path bit-identical for decomposable (deterministic) oracles.  The
+// inline path is the same code with one component per epoch.
 
-int TwoPhaseEngine::split_components(const std::vector<InstanceId>& members,
-                                     int group) {
-  const int m = static_cast<int>(members.size());
-  ++comp_stamp_;
-  std::vector<int> parent(static_cast<std::size_t>(m));
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&](int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(
-              parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  };
-  const auto unite = [&](int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    // Min-root union keeps every root the smallest rank of its component,
-    // giving the fixed component ordering the determinism relies on.
-    if (a < b)
-      parent[static_cast<std::size_t>(b)] = a;
-    else
-      parent[static_cast<std::size_t>(a)] = b;
-  };
-  // Stamped last-seen entries: one pass over the members' paths links
-  // every clique (per-edge, per-demand) into a chain of unions.
-  for (int rank = 0; rank < m; ++rank) {
-    const InstanceId i = members[static_cast<std::size_t>(rank)];
-    rank_of_[static_cast<std::size_t>(i)] = rank;
-    const DemandInstance& inst = problem_->instance(i);
-    const auto d = static_cast<std::size_t>(inst.demand);
-    if (comp_demand_stamp_[d] == comp_stamp_)
-      unite(rank, comp_demand_rank_[d]);
-    comp_demand_stamp_[d] = comp_stamp_;
-    comp_demand_rank_[d] = rank;
-    for (EdgeId e : inst.edges) {
-      const auto ge = static_cast<std::size_t>(e);
-      if (comp_edge_stamp_[ge] == comp_stamp_)
-        unite(rank, comp_edge_rank_[ge]);
-      comp_edge_stamp_[ge] = comp_stamp_;
-      comp_edge_rank_[ge] = rank;
-    }
-  }
-
-  std::vector<int> comp_of_root(static_cast<std::size_t>(m), -1);
-  int count = 0;
-  for (int rank = 0; rank < m; ++rank) {
-    const int root = find(rank);
-    int c = comp_of_root[static_cast<std::size_t>(root)];
-    if (c < 0) {
-      c = count++;
-      comp_of_root[static_cast<std::size_t>(root)] = c;
-      if (static_cast<int>(comp_pool_.size()) < count)
-        comp_pool_.emplace_back();
-      comp_pool_[static_cast<std::size_t>(c)].owned_ranks.clear();
-      comp_pool_[static_cast<std::size_t>(c)].owned_ids.clear();
-    }
-    comp_pool_[static_cast<std::size_t>(c)].owned_ranks.push_back(rank);
-    comp_pool_[static_cast<std::size_t>(c)].owned_ids.push_back(
-        members[static_cast<std::size_t>(rank)]);
-  }
-  for (int c = 0; c < count; ++c) {
-    EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-    comp.ranks = {comp.owned_ranks.data(), comp.owned_ranks.size()};
-    comp.ids = {comp.owned_ids.data(), comp.owned_ids.size()};
-    comp.stream_key = component_stream_key(group, comp.ids.front());
-    // Eager clone, as PR 3's recompute did (the forest path clones
-    // lazily in run_component instead).
-    comp.oracle = oracle_->component_clone(comp.stream_key);
-    TS_REQUIRE(comp.oracle != nullptr);
-  }
-  return count;
-}
-
-int TwoPhaseEngine::derive_components(const std::vector<InstanceId>& members,
-                                      int group) {
+int TwoPhaseEngine::derive_components(int group) {
   // The forest already holds this epoch's partition; deriving is pure
-  // span slicing — O(|members| + #components) instead of the legacy
-  // union-find's O(sum path) clique chains.  Oracles are NOT cloned
+  // span slicing — O(|members| + #components).  Oracles are NOT cloned
   // here: run_component clones lazily once a frontier scan finds an
   // unsatisfied member (the monotone-frontier filter), so a fully
   // satisfied component costs neither a clone nor a stream.  Clone
   // streams derive from (seed, key), never from the parent oracle's
   // state, so the laziness cannot shift any component's randomness.
-  const int m = static_cast<int>(members.size());
-  for (int rank = 0; rank < m; ++rank)
-    rank_of_[static_cast<std::size_t>(members[static_cast<std::size_t>(rank)])] =
-        rank;
   const int count = forest_.components_in_group(group);
   if (static_cast<int>(comp_pool_.size()) < count)
     comp_pool_.resize(static_cast<std::size_t>(count));
   for (int c = 0; c < count; ++c) {
     EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-    comp.ranks = forest_.component_ranks(group, c);
     comp.ids = forest_.component_ids(group, c);
     comp.stream_key = component_stream_key(group, comp.ids.front());
-    comp.oracle.reset();
+    comp.oracle = nullptr;
+    comp.clone.reset();
   }
   return count;
+}
+
+int TwoPhaseEngine::whole_group(const std::vector<InstanceId>& members) {
+  if (comp_pool_.empty()) comp_pool_.emplace_back();
+  EpochComponent& comp = comp_pool_.front();
+  comp.ids = {members.data(), members.size()};
+  comp.oracle = oracle_;
+  comp.clone.reset();
+  return 1;
 }
 
 int TwoPhaseEngine::clamp_workers(int work_items) const {
@@ -859,6 +482,60 @@ int TwoPhaseEngine::clamp_workers(int work_items) const {
   return std::max(
       1, std::min({config_.threads, work_items,
                    hw > 0 ? static_cast<int>(hw) : config_.threads}));
+}
+
+void TwoPhaseEngine::run_components(int comp_count, const RaiseRule& rule,
+                                    const StageSchedule& sched, int group) {
+  if (comp_count == 1) {
+    TRACE_SPAN2("engine", "component", "size", comp_pool_[0].ids.size(),
+                "group", group);
+    run_component(comp_pool_[0], rule, sched, group, worker_scratch_[0]);
+    return;
+  }
+  // Fixed-size pool over an atomic work index: which worker runs which
+  // component is scheduling-dependent, but each component's writes are
+  // confined to its own members' shards and caches, and the merge
+  // replays everything in fixed component order — so the output is
+  // independent of the interleaving.
+  std::atomic<int> next{0};
+  const int workers = clamp_workers(comp_count);
+  // Per-worker busy time (loop entry to exhausted work queue); idle is
+  // the pool wall minus that, accumulated into the metrics registry
+  // after the join.
+  std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers), 0);
+  const auto work = [&](int w) {
+    WorkerScratch& scratch = worker_scratch_[static_cast<std::size_t>(w)];
+    const bool traced = obs::tracing_enabled();
+    const std::int64_t entered_ns = traced ? obs::trace_now_ns() : 0;
+    for (;;) {
+      const int c = next.fetch_add(1);
+      if (c >= comp_count) break;
+      EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
+      TRACE_SPAN2("engine", "component", "size", comp.ids.size(), "group",
+                  group);
+      run_component(comp, rule, sched, group, scratch);
+    }
+    if (traced)
+      busy_ns[static_cast<std::size_t>(w)] = obs::trace_now_ns() - entered_ns;
+  };
+  const std::int64_t pool_start_ns =
+      obs::tracing_enabled() ? obs::trace_now_ns() : 0;
+  TRACE_SPAN2("engine", "solve", "group", group, "components", comp_count);
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers) - 1);
+  for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
+  work(0);
+  for (std::thread& t : pool) t.join();
+  if (obs::tracing_enabled()) {
+    const std::int64_t pool_wall_ns = obs::trace_now_ns() - pool_start_ns;
+    auto& registry = obs::MetricsRegistry::global();
+    for (int w = 0; w < workers; ++w) {
+      const std::int64_t busy = busy_ns[static_cast<std::size_t>(w)];
+      registry.counter("engine.worker_busy_ns").add(busy);
+      registry.counter("engine.worker_idle_ns")
+          .add(std::max<std::int64_t>(0, pool_wall_ns - busy));
+    }
+  }
 }
 
 void TwoPhaseEngine::run_component(EpochComponent& comp,
@@ -893,13 +570,14 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
       // A finished component simply stops recording; the merge pads the
       // lockstep schedule's idle steps when *every* component is done.
       if (unsat.empty()) break;
-      // Lazy clone (forest path): the component proved it has frontier
-      // work, so it earns its oracle now.  component_clone is
+      // Lazy clone (parallel path): the component proved it has
+      // frontier work, so it earns its oracle now.  component_clone is
       // concurrency-safe on the parent and derives the stream from
       // (seed, stream_key) alone — see MisOracle's contract.
       if (comp.oracle == nullptr) {
-        comp.oracle = oracle_->component_clone(comp.stream_key);
-        TS_REQUIRE(comp.oracle != nullptr);
+        comp.clone = oracle_->component_clone(comp.stream_key);
+        TS_REQUIRE(comp.clone != nullptr);
+        comp.oracle = comp.clone.get();
       }
       const MisResult mis = comp.oracle->run(
           std::span<const InstanceId>(unsat.data(), unsat.size()));
@@ -928,14 +606,19 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
             rule.tight_raise(inst, critical, slack, increments);
         // In-component application only; out-of-group propagation is the
         // merge's job (in deterministic order).
-        propagate_raise(i, delta, increments, PropScope::kInGroup, group);
+        propagate_in_group(i, delta, increments, group);
+        // The raise must satisfy i's constraint tightly (paper, 3.2).
+        TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
+                           inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
         selected.emplace_back(rank_of_[static_cast<std::size_t>(i)], delta);
       }
-      // Log in ascending member rank (randomized oracles report winners
-      // in decision order; raises within a step commute, so rank order is
-      // safe and deterministic).  Ranks are unique, so the pair sort is
-      // a rank sort.
-      std::sort(selected.begin(), selected.end());
+      // A clone's winners are logged in ascending member rank
+      // (randomized oracles report winners in decision order; raises
+      // within a step commute, so rank order is safe and deterministic).
+      // Ranks are unique, so the pair sort is a rank sort.  The inline
+      // component keeps the caller's oracle order — the order the
+      // reference raises in.
+      if (comp.clone != nullptr) std::sort(selected.begin(), selected.end());
       comp.step_rounds.push_back(mis.rounds);
       comp.step_retries.push_back(mis.retries);
       for (const auto& [rank, delta] : selected) {
@@ -955,10 +638,10 @@ void TwoPhaseEngine::merge_components(
     double& objective, SolveStats& stats,
     std::vector<std::vector<InstanceId>>& stack,
     std::vector<InstanceId>& raised_order) {
-  // Phase A (serial, cheap): k-way merge of the per-component decision
-  // logs by (stage, step) into the chronological raise order, with the
-  // serial bookkeeping — objective accumulation, stack rows, stats,
-  // message counting — exactly as the serial engine interleaves it.
+  // Phase A (one thread, cheap): k-way merge of the per-component
+  // decision logs by (stage, step) into the chronological raise order,
+  // with the bookkeeping — objective accumulation, stack rows, stats,
+  // message counting — exactly as the reference interleaves it.
   // The raises themselves are only *logged* (ids, deltas and the
   // per-critical-edge increment slabs); their out-of-group propagation
   // is deferred to Phase B below, which is safe because nothing reads an
@@ -996,8 +679,8 @@ void TwoPhaseEngine::merge_components(
             comp.stage_begin[static_cast<std::size_t>(j - 1)] + t);
         rounds_t = std::max(rounds_t, comp.step_rounds[s]);
         // Like the rounds: concurrent components share the step's retry
-        // attempts, and a serial whole-frontier run retries exactly as
-        // long as its worst component — max, not sum.
+        // attempts, and a whole-frontier run retries exactly as long as
+        // its worst component — max, not sum.
         retries_t = std::max(retries_t, comp.step_retries[s]);
         for (int k = comp.step_begin[s]; k < comp.step_begin[s + 1]; ++k)
           merge_row_.emplace_back(comp.rank_log[static_cast<std::size_t>(k)],
@@ -1008,7 +691,7 @@ void TwoPhaseEngine::merge_components(
       if (!any_component) {
         // Every component finished before the budget: the union U is
         // empty, and the lockstep schedule idles through the remaining
-        // steps exactly as the serial engine does.
+        // steps exactly as the reference does.
         stats.mis_rounds += 2;
         stats.comm_rounds += 3;
         continue;
@@ -1021,18 +704,19 @@ void TwoPhaseEngine::merge_components(
       stats.mis_retries += retries_t;
       if (merge_row_.empty()) {
         // Every live component's MIS came back empty this step: the
-        // union U's step failed exactly as a serial empty step would.
-        // (Per-component failures that still yield a non-empty union
-        // only flip mis_ok below, not this counter — the counter must
-        // stay identical across serial and parallel paths, and the
-        // parity suite compares it with ==.)
+        // union U's step failed exactly as a whole-frontier empty step
+        // would.  (Per-component failures that still yield a non-empty
+        // union only flip mis_ok below, not this counter — the counter
+        // must not depend on the decomposition, and the parity suite
+        // compares it with ==.)
         stats.mis_ok = false;
         ++stats.mis_failed_steps;
         TRACE_COUNTER("engine.mis_failed_steps", 1);
         if (!config_.lockstep) stage_broken = true;
         continue;
       }
-      std::sort(merge_row_.begin(), merge_row_.end());
+      // Rows from several components interleave by rank.
+      if (comp_count > 1) std::sort(merge_row_.begin(), merge_row_.end());
       std::vector<InstanceId> row;
       row.reserve(merge_row_.size());
       for (const auto& [rank, delta] : merge_row_) {
@@ -1072,14 +756,14 @@ void TwoPhaseEngine::merge_components(
   // Phase B: the deferred out-of-group propagation, partitioned by
   // target instance id across the worker pool.  Shard k's increments
   // arrive in chronological order within its partition — the order the
-  // serial replay would apply them in — so any worker count yields the
+  // reference applies them in — so any worker count yields the
   // identical floating-point state.
   if (merge_log_ids_.empty()) return;
   const InstanceId n = problem_->num_instances();
   // A small log is applied inline: below this many estimated bucket
   // applications, thread create/join would cost more than the work.
-  // Any deterministic threshold is parity-safe — serial and parallel
-  // application produce the identical state.
+  // Any deterministic threshold is parity-safe — one worker and many
+  // produce the identical state.
   constexpr std::int64_t kParallelFanoutFloor = 4096;
   const int workers = deferred_fanout < kParallelFanoutFloor
                           ? 1

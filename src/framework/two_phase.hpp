@@ -21,22 +21,24 @@
 // algorithms; dist/ supplies the round-counting Luby oracle for the
 // distributed ones.
 //
-// Two phase-1 implementations share this interface (EngineImpl):
+// Phase 1 has one execution path.  The dual state lives in per-instance
+// DualShard stores — the same per-processor sharding the message-level
+// protocol uses — with a cached LHS per instance, invalidated through
+// the Problem's CSR edge->instances index for exactly the instances
+// whose paths intersect a raised edge, and a per-stage *unsatisfied
+// frontier* that shrinks monotonically (raises never decrease an LHS
+// within a stage), so a step tests only the previous frontier instead
+// of rescanning the group.  Every epoch runs as conflict-disjoint
+// components followed by a deterministic merge: with
+// SolverConfig::threads > 1 (and an oracle that can clone) the
+// components come from a persistent ComponentForest and run on a worker
+// pool; otherwise the epoch's whole group is one component that runs
+// inline on the caller's oracle.
 //
-//  - kIncremental (default): per-instance DualShard stores — the same
-//    per-processor sharding the message-level protocol uses — with a
-//    cached LHS per instance, invalidated through the Problem's CSR
-//    edge->instances index for exactly the instances whose paths
-//    intersect a raised edge, and a per-stage *unsatisfied frontier*
-//    that shrinks monotonically (raises never decrease an LHS within a
-//    stage), so a step tests only the previous frontier instead of
-//    rescanning the group.  With SolverConfig::threads > 1, each
-//    epoch's conflict-disjoint components run on a worker pool and are
-//    merged deterministically.
-//  - kCentralReference: the pre-incremental engine (central DualState,
-//    full member rescan with a from-scratch beta walk every step), kept
-//    as the parity oracle.  Both implementations are bit-identical on
-//    all outputs (tests/test_engine_parity.cpp).
+// The parity oracle is a central reference engine (one central
+// DualState, full member rescan every step) that lives in the test
+// support library (tests/support/central_reference.hpp), not here; the
+// parity suites hold every output of this engine to exact == with it.
 #pragma once
 
 #include <memory>
@@ -47,7 +49,6 @@
 #include "decomp/layered.hpp"
 #include "framework/component_forest.hpp"
 #include "framework/dual_shard.hpp"
-#include "framework/dual_state.hpp"
 #include "framework/raise_rule.hpp"
 #include "model/problem.hpp"
 #include "model/solution.hpp"
@@ -64,11 +65,10 @@ struct MisResult {
 };
 
 // Stream key of one parallel-epoch component: the epoch (group) and the
-// component's first member in rank order.  One derivation shared by both
-// component decompositions (the persistent ComponentForest and the
-// legacy per-epoch recompute), so MisOracle::component_clone sees the
-// same key — and randomized oracles the same per-component stream — no
-// matter which path produced the partition.
+// component's first member in rank order.  One derivation shared by the
+// engine and the test-support reference oracle, so both hand
+// MisOracle::component_clone the same key — and randomized oracles the
+// same per-component stream.
 inline std::uint64_t component_stream_key(int group, InstanceId first_member) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(group))
           << 32) ^
@@ -93,10 +93,10 @@ class MisOracle {
   // from (seed, key), which keeps the run deterministic for any thread
   // count but deliberately distinct from the serial single-stream run.
   // Oracles that cannot run component-local leave
-  // supports_component_clone() false; the engine then falls back to
-  // serial single-oracle execution.
+  // supports_component_clone() false; the engine then runs each epoch's
+  // whole group as one component on the single parent oracle.
   //
-  // Concurrency contract: the engine's forest path clones *lazily* from
+  // Concurrency contract: the engine's parallel path clones *lazily* from
   // worker threads (a component only receives an oracle once its first
   // frontier scan finds an unsatisfied member — fully satisfied
   // components never pay for one), so component_clone must be safe to
@@ -139,18 +139,6 @@ class GreedyMis : public MisOracle {
 // sequential round complexity can reach n.
 enum class StageMode { kMultiStage, kSingleStagePS, kExact };
 
-// Which phase-1 implementation runs.  kIncremental is the production
-// engine: per-instance DualShard stores (every satisfaction test is a
-// local O(1) read of a cached LHS), a CSR-driven raise propagation that
-// touches only the instances whose paths intersect the raised edges, and
-// a per-stage unsatisfied frontier that shrinks monotonically — no full
-// member rescans.  kCentralReference preserves the pre-incremental
-// engine (central DualState, full member rescan + from-scratch beta walk
-// every step) as the parity oracle: both paths are bit-identical on
-// every output, which tests/test_engine_parity.cpp enforces with exact
-// comparisons.
-enum class EngineImpl { kIncremental, kCentralReference };
-
 struct SolverConfig {
   double epsilon = 0.1;  // target slackness 1-eps (multi-stage mode)
   RaiseRuleKind rule = RaiseRuleKind::kUnit;
@@ -185,20 +173,10 @@ struct SolverConfig {
   bool count_messages = false;
   // Hard safety cap on steps per stage.
   int max_steps_per_stage = 200000;
-  // Phase-1 implementation (see EngineImpl above).
-  EngineImpl engine = EngineImpl::kIncremental;
-  // Component decomposition of the parallel epoch path: true derives
-  // each epoch's conflict-disjoint components from the persistent
-  // ComponentForest (built once per run, filtered by the unsatisfied
-  // frontier); false re-runs the legacy per-epoch union-find
-  // (split_components) over the clique chains.  Both produce identical
-  // partitions — tests/test_component_forest.cpp compares the runs
-  // with == — the forest is just O(sum path) cheaper per epoch.
-  bool use_component_forest = true;
-  // Worker threads for the incremental engine's parallel epoch execution:
-  // each epoch's group is partitioned into conflict-disjoint components
-  // (no raise in one component can touch the LHS of another's members —
-  // the per-processor shards are the unit of parallelism), components run
+  // Worker threads for parallel epoch execution: each epoch's group is
+  // partitioned into conflict-disjoint components (no raise in one
+  // component can touch the LHS of another's members — the
+  // per-processor shards are the unit of parallelism), components run
   // on a pool of this many workers, and the results are merged in fixed
   // component order, so any threads >= 2 value yields the same output.
   // The number of threads actually *spawned* is additionally capped at
@@ -206,8 +184,8 @@ struct SolverConfig {
   // lock-free pool only adds scheduler overhead, and the output is
   // independent of the worker count by construction, so the cap cannot
   // change any result.  Requires an oracle that supports
-  // component_clone(); otherwise, and with threads <= 1, epochs run
-  // serially.
+  // component_clone(); otherwise, and with threads <= 1, each epoch's
+  // whole group runs inline as one component on the caller's oracle.
   int threads = 1;
 };
 
@@ -240,31 +218,27 @@ struct SolveStats {
   // How many whole steps spent their MIS budget without deciding anyone
   // (the silent degrade behind mis_ok = false, surfaced so the CLI and
   // benches can warn).  Counted only when the *entire* step's selection
-  // is empty — identically on the central, serial, and parallel-merge
-  // paths, so the parity suites compare it with ==.
+  // is empty — identically in the engine (any thread count) and the
+  // central reference, so the parity suites compare it with ==.
   std::int64_t mis_failed_steps = 0;
   // Adaptive MIS budget retries (MisResult::retries summed over steps).
-  // On the parallel path a step's retry count is the max over its
-  // components — a whole-frontier serial run enters attempt a exactly
-  // when its worst component does, because the Luby dynamics decompose
-  // across conflict-disjoint components — so this, too, compares with
-  // == across central/serial/parallel.
+  // A step's retry count is the max over its components — a
+  // whole-frontier run enters attempt a exactly when its worst component
+  // does, because the Luby dynamics decompose across conflict-disjoint
+  // components — so this, too, compares with == between the engine at
+  // any thread count and the central reference.
   std::int64_t mis_retries = 0;
 
-  // Wall-clock breakdown of the parallel epoch path (all zero on the
-  // serial and central paths).  Timing, not semantics: every field the
-  // parity suites compare with == is unaffected.
+  // Wall-clock breakdown of phase 1.  Timing, not semantics: every
+  // field the parity suites compare with == is unaffected.
   //   epoch_setup_ns   per-epoch component derivation: what the epoch
-  //                    loop pays serially before workers start — forest
-  //                    span slicing, or the legacy per-epoch union-find
-  //                    + eager oracle clones when use_component_forest
-  //                    is off.  NOTE the asymmetry: on the forest path
-  //                    the frontier filtering and the (lazy) clones
-  //                    happen inside run_component on the workers, so
-  //                    they are deliberately NOT in this counter —
-  //                    bench_f13 reports what that means for the
-  //                    comparison;
-  //   forest_build_ns  the one-time ComponentForest build of the run;
+  //                    loop pays serially before the components run —
+  //                    forest span slicing, or the one inline component.
+  //                    The frontier filtering and the (lazy) oracle
+  //                    clones happen inside the component runs, so they
+  //                    are not in this counter;
+  //   forest_build_ns  the one-time ComponentForest build of a parallel
+  //                    run (zero when the run is not parallel);
   //   merge_ns         the deterministic merge — chronological replay,
   //                    bookkeeping and the (parallel) deferred
   //                    out-of-group propagation.
@@ -332,8 +306,7 @@ class TwoPhaseEngine {
   SolveResult run_warm(const StageParams& pinned);
 
  private:
-  // The stage schedule shared by both engine implementations, derived
-  // once per run from the active instances.
+  // The stage schedule, derived once per run from the active instances.
   struct StageSchedule {
     double xi = 0.0;
     int stages_per_epoch = 1;
@@ -342,33 +315,30 @@ class TwoPhaseEngine {
     bool any_active = false;
   };
   // One conflict-disjoint component of an epoch's group, plus the
-  // decision log its worker records for the deterministic merge.  The
-  // member lists are spans (into the ComponentForest's flat storage, or
-  // into the owned_* vectors the legacy recompute fills), and the log is
-  // flat — stage s covers steps [stage_begin[s], stage_begin[s+1]) of
+  // decision log its run records for the deterministic merge.  The
+  // members are a span (into the ComponentForest's flat storage, or the
+  // epoch's whole member list when the group runs inline), and the log
+  // is flat — stage s covers steps [stage_begin[s], stage_begin[s+1]) of
   // step_rounds, step t's raises are entries
   // [step_begin[t], step_begin[t+1]) of (rank_log, delta_log) — so a
   // pooled component is reused across epochs without reallocating.
   struct EpochComponent {
-    std::span<const int> ranks;        // member ranks, ascending
-    std::span<const InstanceId> ids;   // members[rank], same order
-    // The oracle is cloned lazily on the forest path: run_component
-    // clones on first need (a frontier scan that found an unsatisfied
-    // member), so a fully satisfied component costs no clone.  The
-    // legacy recompute path clones eagerly, as PR 3 did.
+    std::span<const InstanceId> ids;   // members, ascending rank
+    // The component's MIS oracle: the caller's oracle when the whole
+    // group runs inline, else a clone that run_component makes on first
+    // need (a frontier scan that found an unsatisfied member), so a
+    // fully satisfied component costs no clone.
     std::uint64_t stream_key = 0;
-    std::unique_ptr<MisOracle> oracle;
+    MisOracle* oracle = nullptr;
+    std::unique_ptr<MisOracle> clone;
     std::vector<int> stage_begin;      // size stages + 1
     std::vector<int> step_begin;       // size total steps + 1
     std::vector<int> step_rounds;      // per step
     std::vector<int> step_retries;     // per step, parallel to step_rounds
-    std::vector<int> rank_log;         // raised ranks, ascending per step
+    std::vector<int> rank_log;         // raised member ranks, per step
     std::vector<double> delta_log;     // parallel to rank_log
     bool mis_failed = false;    // oracle returned empty on a non-empty pool
     bool ended_short = false;   // stage ended with unsatisfied members left
-    // Backing storage of the spans on the legacy (recompute) path.
-    std::vector<int> owned_ranks;
-    std::vector<InstanceId> owned_ids;
     int steps_in_stage(int stage_index) const {
       return stage_begin[static_cast<std::size_t>(stage_index) + 1] -
              stage_begin[static_cast<std::size_t>(stage_index)];
@@ -386,33 +356,24 @@ class TwoPhaseEngine {
       ended_short = false;
     }
   };
-  // Per-worker scratch of the parallel epoch path, reused across epochs
-  // and components so the hot loop stops allocating.
+  // Per-worker scratch of the component runs, reused across epochs and
+  // components so the hot loop stops allocating.
   struct WorkerScratch {
     std::vector<InstanceId> unsat;
     std::vector<double> increments;
     std::vector<std::pair<int, double>> selected;  // (rank, delta)
   };
-  enum class PropScope { kAll, kInGroup };
 
   bool is_active(InstanceId i) const {
     return active_mask_[static_cast<std::size_t>(i)] != 0;
   }
   StageSchedule prepare(SolveStats& stats) const;
   double stage_target(const StageSchedule& sched, int stage) const;
-  // Common tail of both paths: the scaled-dual upper bound, phase 2, and
-  // the optional stack handoff.
+  void run_phase1(const StageSchedule& sched, SolveResult& result);
+  // The scaled-dual upper bound, phase 2, and the optional stack handoff.
   void finish(SolveResult& result,
               std::vector<std::vector<InstanceId>>& stack);
 
-  // Central-reference path.
-  void run_central(const StageSchedule& sched, SolveResult& result);
-  void raise(InstanceId i, DualState& dual, const RaiseRule& rule,
-             SolveStats& stats, std::vector<InstanceId>& raised_order,
-             std::vector<double>& increments);
-
-  // Incremental path.
-  void run_incremental(const StageSchedule& sched, SolveResult& result);
   void build_edge_positions();  // problem-static, built at construction
   void build_local_stores();    // per-run dual state reset
   double lhs_local(InstanceId i, double beta_coeff) {
@@ -428,21 +389,20 @@ class TwoPhaseEngine {
     return lhs_local(i, rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   }
-  void propagate_raise(InstanceId i, double delta,
-                       std::span<const double> increments, PropScope scope,
-                       int group);
+  // Applies a raise of in-group member i to the shards of its group's
+  // active members; out-of-group shards are the merge's job.
+  void propagate_in_group(InstanceId i, double delta,
+                          std::span<const double> increments, int group);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
-  // Component decomposition of one epoch, into comp_pool_[0..count).
-  // split_components is the legacy per-epoch union-find;
-  // derive_components slices the persistent forest — O(|members|) span
-  // setup, no clique-chain walk.  The frontier filtering happens inside
-  // run_component: a component whose scan never finds an unsatisfied
-  // member runs zero steps and never even clones an oracle.
-  int split_components(const std::vector<InstanceId>& members, int group);
-  int derive_components(const std::vector<InstanceId>& members, int group);
+  // Component decomposition of one epoch, into comp_pool_[0..count):
+  // derive_components slices the persistent forest (one component per
+  // conflict component, each to be cloned an oracle); whole_group makes
+  // the single inline component on the caller's oracle.
+  int derive_components(int group);
+  int whole_group(const std::vector<InstanceId>& members);
   // Threads actually spawned for `work_items` units of parallel work:
   // SolverConfig::threads, clamped by the work available and by
   // hardware_concurrency (oversubscribing a CPU-bound lock-free pool
@@ -451,6 +411,8 @@ class TwoPhaseEngine {
   // policy shared by the component pool and the deferred-propagation
   // pool.
   int clamp_workers(int work_items) const;
+  void run_components(int comp_count, const RaiseRule& rule,
+                      const StageSchedule& sched, int group);
   void run_component(EpochComponent& comp, const RaiseRule& rule,
                      const StageSchedule& sched, int group,
                      WorkerScratch& scratch);
@@ -462,9 +424,8 @@ class TwoPhaseEngine {
                         std::vector<InstanceId>& raised_order);
   // Applies the epoch's deferred out-of-group raises (the merge log) to
   // the shards of instances in [lo, hi).  Each target shard receives its
-  // increments in chronological order — the same order the serial replay
-  // applies them in — so partitioning [0, n) across workers reproduces
-  // the serial floating-point state bit for bit.
+  // increments in chronological order, so partitioning [0, n) across
+  // workers reproduces the one-worker floating-point state bit for bit.
   void apply_deferred_raises(int group, InstanceId lo, InstanceId hi);
 
   void count_notifications(InstanceId i, SolveStats& stats);
@@ -484,22 +445,19 @@ class TwoPhaseEngine {
   // push when keep_stack is set and handed to the result by finish().
   std::vector<StackTag> stack_tags_;
 
-  // Incremental-engine state, rebuilt by every run(): per-instance dual
-  // shards, the cached-LHS layer over them, and the per-(edge, instance)
-  // path positions aligned with the Problem's CSR buckets.
+  // Dual state, rebuilt by every run(): per-instance dual shards, the
+  // cached-LHS layer over them, and the per-(edge, instance) path
+  // positions aligned with the Problem's CSR buckets.
   std::vector<DualShard> shards_;
   std::vector<double> lhs_cache_;
   std::vector<char> lhs_fresh_;
   std::vector<std::int64_t> edge_pos_offset_;
   std::vector<int> edge_pos_;
-  // Component decomposition scratch (stamped, no per-epoch clearing).
-  std::vector<int> comp_edge_stamp_, comp_edge_rank_;
-  std::vector<int> comp_demand_stamp_, comp_demand_rank_;
+  // Rank (position among the epoch's active members) of each member.
   std::vector<int> rank_of_;
-  int comp_stamp_ = 0;
 
-  // Persistent conflict-component forest (use_component_forest): built
-  // lazily on the first parallel run, invalidated by restrict_to().
+  // Persistent conflict-component forest: built lazily on the first
+  // parallel run, invalidated by restrict_to().
   ComponentForest forest_;
   // Epoch arenas, reused across epochs: the component pool (flat logs
   // keep their capacity), per-worker scratch, and the merge's

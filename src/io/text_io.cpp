@@ -18,6 +18,27 @@ void expect_token(std::istream& is, const std::string& expected) {
               "expected '" + expected + "', got '" + token + "'");
 }
 
+// Checked after every record, so a file that ends (or turns to garbage)
+// mid-record is rejected before its zero-filled fields are used.
+void check_record(const std::istream& is, const char* file_kind) {
+  check_input(static_cast<bool>(is),
+              std::string("truncated or malformed ") + file_kind);
+}
+
+// Reads one demand's access list.  Its count comes from the file, so it
+// is bounded by the networks (or resources) that exist before anything
+// is allocated: a longer list cannot be valid.
+std::vector<NetworkId> read_access(std::istream& is, std::size_t count,
+                                   int available, const char* file_kind) {
+  check_input(count <= static_cast<std::size_t>(available),
+              "access count " + std::to_string(count) + " exceeds the " +
+                  std::to_string(available) + " available in " + file_kind);
+  std::vector<NetworkId> acc(count);
+  for (auto& q : acc) is >> q;
+  check_record(is, file_kind);
+  return acc;
+}
+
 }  // namespace
 
 void write_problem(std::ostream& os, const Problem& problem) {
@@ -62,7 +83,6 @@ Problem read_problem(std::istream& is) {
 
   std::vector<TreeNetwork> networks;
   std::vector<std::vector<Capacity>> capacities;
-  networks.reserve(static_cast<std::size_t>(r));
   for (int q = 0; q < r; ++q) {
     expect_token(is, "network");
     int qq = 0;
@@ -74,6 +94,7 @@ Problem read_problem(std::istream& is) {
       VertexId u = 0, v = 0;
       Capacity c = 1.0;
       is >> u >> v >> c;
+      check_record(is, "problem file");
       edges.emplace_back(u, v);
       caps.push_back(c);
     }
@@ -100,9 +121,9 @@ Problem read_problem(std::istream& is) {
     Height height = 1.0;
     std::size_t acc_count = 0;
     is >> u >> v >> profit >> height >> acc_count;
+    check_record(is, "problem file");
+    std::vector<NetworkId> acc = read_access(is, acc_count, r, "problem file");
     const DemandId d = problem.add_demand(u, v, profit, height);
-    std::vector<NetworkId> acc(acc_count);
-    for (auto& q : acc) is >> q;
     problem.set_access(d, std::move(acc));
   }
   expect_token(is, "end");
@@ -150,10 +171,11 @@ LineProblem read_line_problem(std::istream& is) {
     Height height = 1.0;
     std::size_t acc_count = 0;
     is >> release >> deadline >> proc >> profit >> height >> acc_count;
+    check_record(is, "line-problem file");
+    std::vector<NetworkId> acc =
+        read_access(is, acc_count, resources, "line-problem file");
     const DemandId d = line.add_demand(release, deadline, proc, profit,
                                        height);
-    std::vector<NetworkId> acc(acc_count);
-    for (auto& q : acc) is >> q;
     line.set_access(d, std::move(acc));
   }
   expect_token(is, "end");
@@ -173,10 +195,16 @@ Solution read_solution(std::istream& is) {
   check_input(version == 1, "unsupported solution version");
   std::size_t count = 0;
   is >> count;
+  check_record(is, "solution file");
+  // The count is not trusted for sizing: the vector grows only with ids
+  // actually read, so a huge count in a short file fails as truncated.
   Solution solution;
-  solution.selected.resize(count);
-  for (auto& i : solution.selected) is >> i;
-  check_input(static_cast<bool>(is), "truncated solution file");
+  for (std::size_t k = 0; k < count; ++k) {
+    InstanceId i = 0;
+    is >> i;
+    check_record(is, "solution file");
+    solution.selected.push_back(i);
+  }
   return solution;
 }
 

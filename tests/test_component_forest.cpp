@@ -1,27 +1,30 @@
-// ComponentForest correctness and forest-vs-recompute engine parity.
+// ComponentForest correctness and forest-vs-reference engine parity.
 //
 // The persistent forest must (a) partition every group's active members
 // into exactly the connected components of the conflict graph restricted
 // to the group — checked against an independent BFS over
 // Problem::conflicting — with the engine's deterministic ordering
 // (components by first member rank, members rank-ascending), and
-// (b) drive the parallel epoch path to outputs bit-identical to the
-// legacy per-epoch recompute (SolverConfig::use_component_forest =
-// false): component partitions, raise stacks, selected sets and lambda
-// are compared with ==, across threads in {1, 4} and both tree
+// (b) drive the engine to outputs bit-identical to the central reference
+// (tests/support/central_reference.hpp): raise stacks, selected sets and
+// lambda are compared with ==, across threads in {1, 4} and both tree
 // decompositions, for the deterministic greedy oracle AND the
 // randomized LubyMis (whose per-component streams key on
-// component_stream_key — identical under either decomposition path).
+// component_stream_key; the reference reproduces them through
+// reference::ComponentStreamOracle).
 #include "framework/component_forest.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "decomp/layered.hpp"
 #include "dist/luby_mis.hpp"
 #include "framework/two_phase.hpp"
+#include "support/central_reference.hpp"
 #include "test_util.hpp"
 #include "workload/scenario.hpp"
 
@@ -153,7 +156,7 @@ void expect_same_run(const SolveResult& a, const SolveResult& b,
   EXPECT_EQ(a.stats.mis_ok, b.stats.mis_ok) << what;
 }
 
-TEST(ComponentForest, ForestVsRecomputeBitIdenticalGreedy) {
+TEST(ComponentForest, ForestVsReferenceBitIdenticalGreedy) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Problem p = small_tree_problem(seed + 600, 36, 2, 20,
                                          seed % 2 ? HeightLaw::kBimodal
@@ -162,64 +165,122 @@ TEST(ComponentForest, ForestVsRecomputeBitIdenticalGreedy) {
          {DecompKind::kIdeal, DecompKind::kRootFixing}) {
       const LayeredPlan plan = build_tree_layered_plan(p, kind);
       for (const bool lockstep : {false, true}) {
+        SolverConfig config;
+        config.keep_stack = true;
+        config.lockstep = lockstep;
+        config.rule = p.unit_height() ? RaiseRuleKind::kUnit
+                                      : RaiseRuleKind::kNarrow;
+        const SolveResult ref = reference::solve(p, plan, config);
         for (const int threads : {1, 4}) {
-          SolverConfig forest_config;
-          forest_config.keep_stack = true;
-          forest_config.lockstep = lockstep;
-          forest_config.threads = threads;
-          forest_config.rule = p.unit_height() ? RaiseRuleKind::kUnit
-                                               : RaiseRuleKind::kNarrow;
-          forest_config.use_component_forest = true;
-          SolverConfig legacy_config = forest_config;
-          legacy_config.use_component_forest = false;
-          const SolveResult with_forest =
-              solve_with_plan(p, plan, forest_config);
-          const SolveResult with_recompute =
-              solve_with_plan(p, plan, legacy_config);
-          expect_same_run(with_forest, with_recompute,
+          config.threads = threads;
+          const SolveResult got = solve_with_plan(p, plan, config);
+          expect_same_run(ref, got,
                           "greedy seed=" + std::to_string(seed) + " " +
                               to_string(kind) +
                               " lockstep=" + std::to_string(lockstep) +
                               " threads=" + std::to_string(threads));
-          require_feasible(p, with_forest.solution);
+          require_feasible(p, got.solution);
         }
       }
     }
   }
 }
 
-TEST(ComponentForest, ForestVsRecomputeBitIdenticalLuby) {
-  // LubyMis keys its per-component streams by component_stream_key; the
-  // forest and the recompute produce the same components in the same
-  // order, so even the randomized parallel runs must coincide exactly.
+TEST(ComponentForest, ForestVsReferenceBitIdenticalLuby) {
+  // threads = 1: the inline group consumes the caller's LubyMis stream
+  // exactly as the reference does.  threads = 4: each forest component
+  // draws from its own clone keyed by component_stream_key, which the
+  // reference reproduces through ComponentStreamOracle — so even the
+  // randomized parallel runs must coincide exactly.
   const Problem p = small_tree_problem(777, 40, 2, 24);
   for (const DecompKind kind :
        {DecompKind::kIdeal, DecompKind::kRootFixing}) {
     const LayeredPlan plan = build_tree_layered_plan(p, kind);
+    for (const bool lockstep : {false, true}) {
+      for (const int threads : {1, 4}) {
+        SolverConfig config;
+        config.keep_stack = true;
+        config.lockstep = lockstep;
+        config.threads = threads;
+        LubyMis ref_parent(p, 9);
+        reference::ComponentStreamOracle per_component(p, plan, ref_parent);
+        MisOracle* ref_oracle =
+            threads > 1 ? static_cast<MisOracle*>(&per_component)
+                        : &ref_parent;
+        const SolveResult ref = reference::solve(p, plan, config, ref_oracle);
+        LubyMis oracle(p, 9);
+        const SolveResult got = solve_with_plan(p, plan, config, &oracle);
+        const std::string what = std::string("luby ") + to_string(kind) +
+                                 " lockstep=" + std::to_string(lockstep) +
+                                 " threads=" + std::to_string(threads);
+        EXPECT_TRUE(ref.stats.mis_ok) << what;
+        expect_same_run(ref, got, what);
+      }
+    }
+  }
+}
+
+// GreedyMis with its winners reported in reverse: a deterministic,
+// cloneable oracle whose decision order is never the member-rank order.
+class ReversedGreedy : public MisOracle {
+ public:
+  explicit ReversedGreedy(const Problem& problem)
+      : problem_(&problem), inner_(problem) {}
+  MisResult run(std::span<const InstanceId> candidates) override {
+    MisResult result = inner_.run(candidates);
+    std::reverse(result.selected.begin(), result.selected.end());
+    return result;
+  }
+  bool supports_component_clone() const override { return true; }
+  std::unique_ptr<MisOracle> component_clone(std::uint64_t) override {
+    return std::make_unique<ReversedGreedy>(*problem_);
+  }
+
+ private:
+  const Problem* problem_;
+  GreedyMis inner_;
+};
+
+TEST(ComponentForest, RowOrderFollowsOracleInlineAndRankOnClones) {
+  // A step's raises are logged in the caller's oracle order when the
+  // group runs inline (threads = 1) — the order the reference raises in
+  // — and in member-rank order when they come from component clones
+  // (threads = 4), whether the epoch has one component or several.  The
+  // reference reproduces the latter through ComponentStreamOracle, which
+  // returns each step's winners in candidate (= rank) order.
+  const Problem tree = small_tree_problem(779, 40, 2, 24);
+  const Problem line = small_line_problem(780, 24, 1, 14);
+  for (const Problem* p : {&tree, &line}) {
+    const LayeredPlan plan = p == &tree
+                                 ? build_tree_layered_plan(*p,
+                                                           DecompKind::kIdeal)
+                                 : build_line_layered_plan(*p);
+    SolverConfig config;
+    config.keep_stack = true;
+    SolveResult runs[2];
     for (const int threads : {1, 4}) {
-      SolverConfig config;
-      config.keep_stack = true;
       config.threads = threads;
-      config.use_component_forest = true;
-      LubyMis forest_oracle(p, 9);
-      const SolveResult with_forest =
-          solve_with_plan(p, plan, config, &forest_oracle);
-      config.use_component_forest = false;
-      LubyMis legacy_oracle(p, 9);
-      const SolveResult with_recompute =
-          solve_with_plan(p, plan, config, &legacy_oracle);
-      expect_same_run(with_forest, with_recompute,
-                      std::string("luby ") + to_string(kind) +
+      ReversedGreedy ref_parent(*p);
+      reference::ComponentStreamOracle per_component(*p, plan, ref_parent);
+      MisOracle* ref_oracle =
+          threads > 1 ? static_cast<MisOracle*>(&per_component) : &ref_parent;
+      const SolveResult ref = reference::solve(*p, plan, config, ref_oracle);
+      ReversedGreedy oracle(*p);
+      runs[threads > 1] = solve_with_plan(*p, plan, config, &oracle);
+      expect_same_run(ref, runs[threads > 1],
+                      std::string(p == &tree ? "tree" : "line") +
                           " threads=" + std::to_string(threads));
     }
+    // The two orders really were told apart.
+    EXPECT_NE(runs[0].raise_stack, runs[1].raise_stack);
   }
 }
 
 TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
   // One engine object, two different restrictions: the forest must be
   // rebuilt after restrict_to (a stale partition over the old active set
-  // would run wrong components).  Each restricted run must match a fresh
-  // recompute-path engine bit for bit.
+  // would run wrong components).  Each restricted run must match the
+  // reference over the same subset bit for bit.
   const Problem p = small_tree_problem(888, 32, 2, 18,
                                        HeightLaw::kBimodal);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
@@ -235,12 +296,7 @@ TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
     const auto& ids = wide ? classes.wide_ids : classes.narrow_ids;
     reused.restrict_to(ids);
     const SolveResult got = reused.run();
-
-    SolverConfig legacy = config;
-    legacy.use_component_forest = false;
-    TwoPhaseEngine fresh(p, plan, legacy);
-    fresh.restrict_to(ids);
-    const SolveResult want = fresh.run();
+    const SolveResult want = reference::solve_restricted(p, plan, config, ids);
     expect_same_run(want, got,
                     std::string("restricted wide=") + std::to_string(wide));
   }

@@ -1,11 +1,12 @@
-// Central-vs-incremental engine parity (the oracle that keeps the
-// incremental rewrite honest): the shard-backed frontier engine — serial
-// and with parallel epoch execution — must reproduce the central-
-// DualState reference engine EXACTLY.  Selected set, raise stack,
-// lambda_observed, dual_objective and every count are compared with ==,
-// no tolerances: the incremental path replays the reference path's
-// floating-point operation order (ordered beta walks, chronological
-// objective accumulation), so even the doubles are bit-identical.
+// Engine-vs-reference parity (the oracle that keeps the engine honest):
+// the shard-backed frontier engine — inline and with parallel epoch
+// execution — must reproduce the central-DualState reference engine
+// (tests/support/central_reference.hpp) EXACTLY.  Selected set, raise
+// stack and its tags, final LHS, lambda_observed, dual_objective and
+// every count are compared with ==, no tolerances: the engine replays
+// the reference's floating-point operation order (ordered beta walks,
+// chronological objective accumulation), so even the doubles are
+// bit-identical.
 #include "framework/two_phase.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "decomp/layered.hpp"
 #include "dist/luby_mis.hpp"
 #include "obs/trace.hpp"
+#include "support/central_reference.hpp"
 #include "test_util.hpp"
 #include "workload/scenario.hpp"
 
@@ -38,6 +40,8 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
                       const std::string& what) {
   EXPECT_EQ(ref.solution.selected, got.solution.selected) << what;
   EXPECT_EQ(ref.raise_stack, got.raise_stack) << what;
+  EXPECT_EQ(ref.stack_tags, got.stack_tags) << what;
+  EXPECT_EQ(ref.final_lhs, got.final_lhs) << what;
   EXPECT_EQ(ref.stats.epochs, got.stats.epochs) << what;
   EXPECT_EQ(ref.stats.stages, got.stats.stages) << what;
   EXPECT_EQ(ref.stats.steps, got.stats.steps) << what;
@@ -63,37 +67,25 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
   EXPECT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
 }
 
-// Runs the reference engine and the incremental engine (threads = 1 and
-// threads = 4) on the same problem/plan/config and demands bitwise
-// equality.  The default GreedyMis oracle is deterministic and
-// component-decomposable, so all three runs must coincide exactly.
+// Runs the reference engine and the engine (threads = 1 and threads = 4)
+// on the same problem/plan/config and demands bitwise equality.  The
+// default GreedyMis oracle is deterministic and component-decomposable,
+// so all three runs must coincide exactly.
 void expect_parity(const Problem& p, const LayeredPlan& plan,
                    SolverConfig config, const std::string& what) {
   config.keep_stack = true;
+  config.keep_lhs = true;
   config.count_messages = true;
 
-  SolverConfig central = config;
-  central.engine = EngineImpl::kCentralReference;
-  const SolveResult ref = solve_with_plan(p, plan, central);
-
+  const SolveResult ref = reference::solve(p, plan, config);
   for (const int threads : {1, 4}) {
-    SolverConfig incremental = config;
-    incremental.engine = EngineImpl::kIncremental;
-    incremental.threads = threads;
-    const SolveResult got = solve_with_plan(p, plan, incremental);
+    SolverConfig engine = config;
+    engine.threads = threads;
+    const SolveResult got = solve_with_plan(p, plan, engine);
     expect_identical(ref, got,
                      what + " threads=" + std::to_string(threads));
     require_feasible(p, got.solution);
   }
-  // The legacy per-epoch component recompute must coincide too — the
-  // persistent forest (the threads=4 default above) and the recompute
-  // are two implementations of one partition.
-  SolverConfig legacy = config;
-  legacy.engine = EngineImpl::kIncremental;
-  legacy.threads = 4;
-  legacy.use_component_forest = false;
-  expect_identical(ref, solve_with_plan(p, plan, legacy),
-                   what + " legacy-split threads=4");
 }
 
 TEST(EngineParity, TreeUnitAcrossLockstepAndThreads) {
@@ -171,14 +163,12 @@ TEST(EngineParity, HeightSplitAndRestriction) {
     const Problem p = small_tree_problem(seed + 200, 32, 2, 20,
                                          HeightLaw::kBimodal);
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+    const SolveResult ref =
+        reference::solve_height_split(p, plan, SolverConfig{});
     for (const int threads : {1, 4}) {
-      SolverConfig central;
-      central.engine = EngineImpl::kCentralReference;
-      SolverConfig incremental;
-      incremental.engine = EngineImpl::kIncremental;
-      incremental.threads = threads;
-      const SolveResult ref = solve_height_split(p, plan, central);
-      const SolveResult got = solve_height_split(p, plan, incremental);
+      SolverConfig engine;
+      engine.threads = threads;
+      const SolveResult got = solve_height_split(p, plan, engine);
       EXPECT_EQ(ref.solution.selected, got.solution.selected);
       EXPECT_EQ(ref.stats.steps, got.stats.steps);
       EXPECT_EQ(ref.stats.dual_objective, got.stats.dual_objective);
@@ -188,42 +178,84 @@ TEST(EngineParity, HeightSplitAndRestriction) {
     // restrict_to: the subset runs must also coincide.
     std::vector<InstanceId> evens;
     for (InstanceId i = 0; i < p.num_instances(); i += 2) evens.push_back(i);
-    SolverConfig central;
-    central.engine = EngineImpl::kCentralReference;
-    central.keep_stack = true;
-    TwoPhaseEngine ref_engine(p, plan, central);
-    ref_engine.restrict_to(evens);
-    const SolveResult ref = ref_engine.run();
+    SolverConfig config;
+    config.keep_stack = true;
+    config.keep_lhs = true;
+    const SolveResult restricted_ref =
+        reference::solve_restricted(p, plan, config, evens);
     for (const int threads : {1, 4}) {
-      SolverConfig incremental;
-      incremental.keep_stack = true;
-      incremental.threads = threads;
-      TwoPhaseEngine engine(p, plan, incremental);
+      config.threads = threads;
+      TwoPhaseEngine engine(p, plan, config);
       engine.restrict_to(evens);
       const SolveResult got = engine.run();
-      expect_identical(ref, got, "restricted threads=" +
-                                     std::to_string(threads));
+      expect_identical(restricted_ref, got, "restricted threads=" +
+                                                std::to_string(threads));
     }
   }
 }
 
 TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
   // A stateful randomized oracle consumes one global stream: with
-  // threads == 1 the incremental engine presents it the exact same
-  // candidate sequences as the reference engine, so the whole run —
+  // threads == 1 the engine's inline component presents it the exact
+  // same candidate sequences as the reference engine, so the whole run —
   // draws included — is reproduced bit for bit.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Problem p = small_tree_problem(seed + 400, 40, 2, 24);
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
     SolverConfig config;
     config.keep_stack = true;
-    config.engine = EngineImpl::kCentralReference;
     LubyMis ref_oracle(p, seed);
-    const SolveResult ref = solve_with_plan(p, plan, config, &ref_oracle);
-    config.engine = EngineImpl::kIncremental;
-    LubyMis inc_oracle(p, seed);
-    const SolveResult got = solve_with_plan(p, plan, config, &inc_oracle);
+    const SolveResult ref = reference::solve(p, plan, config, &ref_oracle);
+    LubyMis engine_oracle(p, seed);
+    const SolveResult got = solve_with_plan(p, plan, config, &engine_oracle);
     expect_identical(ref, got, "luby seed=" + std::to_string(seed));
+  }
+}
+
+// GreedyMis behind an oracle that cannot clone (supports_component_clone
+// keeps MisOracle's default, false).
+class NonCloningGreedy : public MisOracle {
+ public:
+  explicit NonCloningGreedy(const Problem& problem) : inner_(problem) {}
+  MisResult run(std::span<const InstanceId> candidates) override {
+    return inner_.run(candidates);
+  }
+
+ private:
+  GreedyMis inner_;
+};
+
+TEST(EngineParity, NonCloningOracleRunsInlineAtFourThreads) {
+  // Without component_clone the engine cannot give components their own
+  // oracles, so even at threads = 4 every epoch's whole group runs
+  // inline on the caller's oracle — no forest is built — and the run
+  // must still equal the reference exactly.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Problem tree = small_tree_problem(seed + 900, 36, 2, 20);
+    const Problem line = small_line_problem(seed + 950, 30, 2, 10);
+    for (const Problem* p : {&tree, &line}) {
+      const LayeredPlan plan = p == &tree
+                                   ? build_tree_layered_plan(*p,
+                                                             DecompKind::kIdeal)
+                                   : build_line_layered_plan(*p);
+      for (const bool lockstep : {false, true}) {
+        SolverConfig config;
+        config.lockstep = lockstep;
+        config.keep_stack = true;
+        config.keep_lhs = true;
+        config.count_messages = true;
+        const SolveResult ref = reference::solve(*p, plan, config);
+        config.threads = 4;
+        NonCloningGreedy oracle(*p);
+        const SolveResult got = solve_with_plan(*p, plan, config, &oracle);
+        const std::string what = std::string(p == &tree ? "tree" : "line") +
+                                 " seed=" + std::to_string(seed) +
+                                 " lockstep=" + std::to_string(lockstep);
+        expect_identical(ref, got, what);
+        EXPECT_EQ(got.stats.forest_build_ns, 0) << what;
+        require_feasible(*p, got.solution);
+      }
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include "online/journal.hpp"
 #include "online/online_scheduler.hpp"
 #include "online/snapshot.hpp"
+#include "support/central_reference.hpp"
 #include "test_util.hpp"
 #include "workload/scenario.hpp"
 #include "workload/tree_gen.hpp"
@@ -277,9 +278,9 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
   // for the frontier compaction, the flat component logs and the
   // forest's satisfied-component filter (components drain at wildly
   // different rates, so late steps see mostly-finished epochs).  The
-  // oracle's randomness is addressed per instance, so every engine path
-  // — central, incremental serial, parallel with the forest, parallel
-  // with the legacy recompute — must still agree bit for bit.  The weak
+  // oracle's randomness is addressed per instance, so the central
+  // reference and the engine at threads 1 and 4 must still agree bit for
+  // bit.  The weak
   // budget also starves steps constantly, so the adaptive budget retry
   // fires throughout — mis_retries must agree across the paths too (the
   // parallel merge takes the per-component max per step).
@@ -296,36 +297,30 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
     config.lockstep = round >= 2;  // budget-short stages on these rounds
     config.rule = p.unit_height() ? RaiseRuleKind::kUnit
                                   : RaiseRuleKind::kNarrow;
-    config.engine = EngineImpl::kCentralReference;
     ProtocolLubyMis central_oracle(p, seed, /*luby_budget=*/1);
-    const SolveResult ref = solve_with_plan(p, plan, config, &central_oracle);
+    const SolveResult ref =
+        reference::solve(p, plan, config, &central_oracle);
     require_feasible(p, ref.solution);
     total_retries += ref.stats.mis_retries;
     for (const int threads : {1, 4}) {
-      for (const bool forest : {true, false}) {
-        SolverConfig incremental = config;
-        incremental.engine = EngineImpl::kIncremental;
-        incremental.threads = threads;
-        incremental.use_component_forest = forest;
-        ProtocolLubyMis oracle(p, seed, /*luby_budget=*/1);
-        const SolveResult got = solve_with_plan(p, plan, incremental,
-                                                &oracle);
-        const std::string what = "round " + std::to_string(round) +
-                                 " threads=" + std::to_string(threads) +
-                                 " forest=" + std::to_string(forest);
-        ASSERT_EQ(ref.solution.selected, got.solution.selected) << what;
-        ASSERT_EQ(ref.raise_stack, got.raise_stack) << what;
-        ASSERT_EQ(ref.stats.steps, got.stats.steps) << what;
-        ASSERT_EQ(ref.stats.raises, got.stats.raises) << what;
-        // Doubles with ==: bit-identical, not merely close.
-        ASSERT_EQ(ref.stats.dual_objective, got.stats.dual_objective)
-            << what;
-        ASSERT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed)
-            << what;
-        ASSERT_EQ(ref.stats.lockstep_ok, got.stats.lockstep_ok) << what;
-        ASSERT_EQ(ref.stats.mis_ok, got.stats.mis_ok) << what;
-        ASSERT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
-      }
+      SolverConfig engine = config;
+      engine.threads = threads;
+      ProtocolLubyMis oracle(p, seed, /*luby_budget=*/1);
+      const SolveResult got = solve_with_plan(p, plan, engine, &oracle);
+      const std::string what = "round " + std::to_string(round) +
+                               " threads=" + std::to_string(threads);
+      ASSERT_EQ(ref.solution.selected, got.solution.selected) << what;
+      ASSERT_EQ(ref.raise_stack, got.raise_stack) << what;
+      ASSERT_EQ(ref.stats.steps, got.stats.steps) << what;
+      ASSERT_EQ(ref.stats.raises, got.stats.raises) << what;
+      // Doubles with ==: bit-identical, not merely close.
+      ASSERT_EQ(ref.stats.dual_objective, got.stats.dual_objective)
+          << what;
+      ASSERT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed)
+          << what;
+      ASSERT_EQ(ref.stats.lockstep_ok, got.stats.lockstep_ok) << what;
+      ASSERT_EQ(ref.stats.mis_ok, got.stats.mis_ok) << what;
+      ASSERT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
     }
   }
   // The budget-1 oracle must actually have exercised the retry path.
@@ -374,10 +369,11 @@ TEST(Fuzz, MessageCodecRoundTripsRandomStreams) {
       ASSERT_EQ(out.to, m.to);
       ASSERT_EQ(out.tag, m.tag);
       ASSERT_EQ(out.data.size(), m.data.size());
-      if (!m.data.empty())
+      if (!m.data.empty()) {
         ASSERT_EQ(std::memcmp(out.data.data(), m.data.data(),
                               m.data.size() * sizeof(double)),
                   0);
+      }
       // decode(encode(m)) == m implies encode(decode(bytes)) == bytes.
       std::vector<std::uint8_t> again;
       encode_message(out, again);
@@ -436,8 +432,8 @@ TEST(Fuzz, MessageCodecSurvivesTruncationAndGarbage) {
 }
 
 TEST(Fuzz, ProtocolTransportInvarianceOnRandomInstances) {
-  // Random problems through the full wide/narrow protocol on each
-  // backend: the serialized wires must reproduce the in-proc run's
+  // Random problems through the full wide/narrow protocol on both
+  // backends: the serialized wire must reproduce the in-proc run's
   // selection and counters exactly while pushing every message through
   // the codec.
   Rng rng(412);
@@ -458,22 +454,17 @@ TEST(Fuzz, ProtocolTransportInvarianceOnRandomInstances) {
     options.keep_stack = true;
     options.transport = TransportKind::kInProc;
     const ProtocolRunResult ref = run_height_split_protocol(p, plan, options);
-    for (const TransportKind kind : {TransportKind::kSerialized,
-                                     TransportKind::kThreadedSerialized}) {
-      options.transport = kind;
-      const ProtocolRunResult got =
-          run_height_split_protocol(p, plan, options);
-      const std::string what = "round " + std::to_string(round) +
-                               " transport=" + to_string(kind);
-      ASSERT_EQ(got.solution.selected, ref.solution.selected) << what;
-      ASSERT_EQ(got.raise_stack, ref.raise_stack) << what;
-      ASSERT_EQ(got.lambda_observed, ref.lambda_observed) << what;
-      ASSERT_EQ(got.rounds, ref.rounds) << what;
-      ASSERT_EQ(got.messages, ref.messages) << what;
-      ASSERT_EQ(got.bytes, ref.bytes) << what;
-      ASSERT_EQ(got.codec_encoded, got.messages) << what;
-      ASSERT_EQ(got.codec_decoded, got.messages) << what;
-    }
+    options.transport = TransportKind::kSerialized;
+    const ProtocolRunResult got = run_height_split_protocol(p, plan, options);
+    const std::string what = "round " + std::to_string(round);
+    ASSERT_EQ(got.solution.selected, ref.solution.selected) << what;
+    ASSERT_EQ(got.raise_stack, ref.raise_stack) << what;
+    ASSERT_EQ(got.lambda_observed, ref.lambda_observed) << what;
+    ASSERT_EQ(got.rounds, ref.rounds) << what;
+    ASSERT_EQ(got.messages, ref.messages) << what;
+    ASSERT_EQ(got.bytes, ref.bytes) << what;
+    ASSERT_EQ(got.codec_encoded, got.messages) << what;
+    ASSERT_EQ(got.codec_decoded, got.messages) << what;
   }
 }
 

@@ -92,6 +92,57 @@ TEST(TextIo, RejectsCorruptInput) {
   EXPECT_THROW(read_solution(bad3), std::invalid_argument);
 }
 
+TEST(TextIo, OversizedCountsAreRejectedBeforeAllocating) {
+  // Counts are read from untrusted files: each must be rejected as bad
+  // input, never trusted for an allocation (std::bad_alloc) or a read.
+  std::stringstream problem(
+      "treesched-problem 1\nvertices 3\nnetworks 1\nnetwork 0\n"
+      "0 1 1\n1 2 1\ndemands 1\n0 2 5 1 4000000000000 0\nend\n");
+  EXPECT_THROW(read_problem(problem), std::invalid_argument);
+  // One past the network count is already impossible.
+  std::stringstream two_of_one(
+      "treesched-problem 1\nvertices 3\nnetworks 1\nnetwork 0\n"
+      "0 1 1\n1 2 1\ndemands 1\n0 2 5 1 2 0 0\nend\n");
+  EXPECT_THROW(read_problem(two_of_one), std::invalid_argument);
+  std::stringstream line(
+      "treesched-line 1\nslots 10 resources 2\ndemands 1\n"
+      "0 5 2 3 1 4000000000000 0\nend\n");
+  EXPECT_THROW(read_line_problem(line), std::invalid_argument);
+  std::stringstream solution("treesched-solution 1\n4000000000000\n1\n2\n");
+  EXPECT_THROW(read_solution(solution), std::invalid_argument);
+  std::stringstream demands(
+      "treesched-problem 1\nvertices 3\nnetworks 1\nnetwork 0\n"
+      "0 1 1\n1 2 1\ndemands 4000000000000\n0 2 5 1 1 0\nend\n");
+  EXPECT_THROW(read_problem(demands), std::invalid_argument);
+}
+
+TEST(TextIo, TruncatedFilesAreRejectedAtEveryCut) {
+  // Every proper prefix of a valid file — cut mid-token, mid-record or
+  // between records — must be rejected as bad input.
+  const auto expect_every_prefix_rejected = [](const std::string& text,
+                                               auto read) {
+    // The last prefix that still reads "end" whole is the full file
+    // minus its final newline, which is valid.
+    for (std::size_t len = 0; len + 1 < text.size(); ++len) {
+      std::stringstream cut(text.substr(0, len));
+      EXPECT_THROW(read(cut), std::invalid_argument) << "prefix " << len;
+    }
+  };
+  std::stringstream problem;
+  write_problem(problem, small_tree_problem(8, 6, 2, 3));
+  expect_every_prefix_rejected(problem.str(), [](std::istream& is) {
+    return read_problem(is);
+  });
+  LineProblem line(12, 2);
+  line.add_demand(0, 8, 3, 4.5);
+  line.set_access(line.add_demand(2, 9, 2, 2.0, 0.5), {1});
+  std::stringstream line_text;
+  write_line_problem(line_text, line);
+  expect_every_prefix_rejected(line_text.str(), [](std::istream& is) {
+    return read_line_problem(is);
+  });
+}
+
 TEST(TextIo, FileHelpers) {
   const Problem original = small_tree_problem(6, 12, 1, 4);
   const std::string path = ::testing::TempDir() + "/treesched_io_test.txt";

@@ -7,7 +7,7 @@
 // a central DualState replay of the stack) are compared with ==, no
 // tolerances: the protocol reads its shards through the ordered beta
 // walk, so even the doubles are bit-identical.  The engine side runs the
-// central reference AND the incremental engine with threads in {1, 4} —
+// central reference (tests/support) AND the engine with threads in {1, 4} —
 // per-node randomness makes even the parallel epoch execution
 // bit-identical — and the two-pass wide/narrow schedule and the
 // non-uniform capacity profiles are held to the same standard.  Each
@@ -29,6 +29,7 @@
 #include "framework/dual_state.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/trace.hpp"
+#include "support/central_reference.hpp"
 #include "test_util.hpp"
 #include "workload/scenario.hpp"
 
@@ -52,12 +53,10 @@ bool uses_codec(TransportKind kind) {
   // masked run (the only kind the environment hook produces here — the
   // suites below hold it to bit-identity) its frame-codec counters
   // equal the message counters exactly like the plain serialized wires.
-  return kind == TransportKind::kSerialized ||
-         kind == TransportKind::kThreadedSerialized ||
-         kind == TransportKind::kFaulty;
+  return kind == TransportKind::kSerialized || kind == TransportKind::kFaulty;
 }
 
-// The transport axis of the parity suite: reruns a protocol on each
+// The transport axis of the parity suite: reruns a protocol on the
 // serialized backend and holds every reported field — selection, stacks,
 // final LHS, lambda, and all round/message/byte counters, per pass and
 // total — to exact (==) equality with the reference run.  The codec
@@ -72,43 +71,41 @@ void expect_transport_axis(const RunFn& rerun, const ProtocolRunResult& ref,
   EXPECT_EQ(ref.codec_encoded, uses_codec(ref.transport) ? ref.messages : 0)
       << what;
   EXPECT_EQ(ref.codec_decoded, ref.codec_encoded) << what;
-  for (const TransportKind kind :
-       {TransportKind::kSerialized, TransportKind::kThreadedSerialized}) {
-    const ProtocolRunResult got = rerun(kind);
-    const std::string tag = what + " transport=" + to_string(kind);
-    EXPECT_EQ(got.transport, kind) << tag;
-    EXPECT_EQ(got.solution.selected, ref.solution.selected) << tag;
-    EXPECT_EQ(got.raise_stack, ref.raise_stack) << tag;
-    // Doubles with ==: bit-identical across backends.
-    EXPECT_EQ(got.final_lhs, ref.final_lhs) << tag;
-    EXPECT_EQ(got.lambda_observed, ref.lambda_observed) << tag;
-    EXPECT_EQ(got.rounds, ref.rounds) << tag;
-    EXPECT_EQ(got.messages, ref.messages) << tag;
-    EXPECT_EQ(got.bytes, ref.bytes) << tag;
-    EXPECT_EQ(got.discovery_rounds, ref.discovery_rounds) << tag;
-    EXPECT_EQ(got.discovery_messages, ref.discovery_messages) << tag;
-    EXPECT_EQ(got.discovery_bytes, ref.discovery_bytes) << tag;
-    EXPECT_EQ(got.combine_rounds, ref.combine_rounds) << tag;
-    EXPECT_EQ(got.mis_ok, ref.mis_ok) << tag;
-    EXPECT_EQ(got.schedule_ok, ref.schedule_ok) << tag;
-    ASSERT_EQ(got.passes.size(), ref.passes.size()) << tag;
-    for (std::size_t i = 0; i < ref.passes.size(); ++i) {
-      const ProtocolPass& a = got.passes[i];
-      const ProtocolPass& b = ref.passes[i];
-      const std::string ptag = tag + " pass=" + std::to_string(i);
-      EXPECT_EQ(a.solution.selected, b.solution.selected) << ptag;
-      EXPECT_EQ(a.raise_stack, b.raise_stack) << ptag;
-      EXPECT_EQ(a.final_lhs, b.final_lhs) << ptag;
-      EXPECT_EQ(a.lambda_observed, b.lambda_observed) << ptag;
-      EXPECT_EQ(a.rounds, b.rounds) << ptag;
-      EXPECT_EQ(a.messages, b.messages) << ptag;
-      EXPECT_EQ(a.bytes, b.bytes) << ptag;
-    }
-    // The serialized wire demonstrably carried the run: every charged
-    // message crossed the codec, in and out.
-    EXPECT_EQ(got.codec_encoded, got.messages) << tag;
-    EXPECT_EQ(got.codec_decoded, got.messages) << tag;
+  const TransportKind kind = TransportKind::kSerialized;
+  const ProtocolRunResult got = rerun(kind);
+  const std::string tag = what + " transport=" + to_string(kind);
+  EXPECT_EQ(got.transport, kind) << tag;
+  EXPECT_EQ(got.solution.selected, ref.solution.selected) << tag;
+  EXPECT_EQ(got.raise_stack, ref.raise_stack) << tag;
+  // Doubles with ==: bit-identical across backends.
+  EXPECT_EQ(got.final_lhs, ref.final_lhs) << tag;
+  EXPECT_EQ(got.lambda_observed, ref.lambda_observed) << tag;
+  EXPECT_EQ(got.rounds, ref.rounds) << tag;
+  EXPECT_EQ(got.messages, ref.messages) << tag;
+  EXPECT_EQ(got.bytes, ref.bytes) << tag;
+  EXPECT_EQ(got.discovery_rounds, ref.discovery_rounds) << tag;
+  EXPECT_EQ(got.discovery_messages, ref.discovery_messages) << tag;
+  EXPECT_EQ(got.discovery_bytes, ref.discovery_bytes) << tag;
+  EXPECT_EQ(got.combine_rounds, ref.combine_rounds) << tag;
+  EXPECT_EQ(got.mis_ok, ref.mis_ok) << tag;
+  EXPECT_EQ(got.schedule_ok, ref.schedule_ok) << tag;
+  ASSERT_EQ(got.passes.size(), ref.passes.size()) << tag;
+  for (std::size_t i = 0; i < ref.passes.size(); ++i) {
+    const ProtocolPass& a = got.passes[i];
+    const ProtocolPass& b = ref.passes[i];
+    const std::string ptag = tag + " pass=" + std::to_string(i);
+    EXPECT_EQ(a.solution.selected, b.solution.selected) << ptag;
+    EXPECT_EQ(a.raise_stack, b.raise_stack) << ptag;
+    EXPECT_EQ(a.final_lhs, b.final_lhs) << ptag;
+    EXPECT_EQ(a.lambda_observed, b.lambda_observed) << ptag;
+    EXPECT_EQ(a.rounds, b.rounds) << ptag;
+    EXPECT_EQ(a.messages, b.messages) << ptag;
+    EXPECT_EQ(a.bytes, b.bytes) << ptag;
   }
+  // The serialized wire demonstrably carried the run: every charged
+  // message crossed the codec, in and out.
+  EXPECT_EQ(got.codec_encoded, got.messages) << tag;
+  EXPECT_EQ(got.codec_decoded, got.messages) << tag;
 }
 
 // Central DualState replay of a protocol raise stack under the pass's
@@ -196,7 +193,7 @@ void expect_pass_matches(const ProtocolPass& pass, const SolveResult& got,
 }
 
 // Single-pass parity: run_distributed_protocol under options.rule vs the
-// lockstep engine (central reference + incremental threads {1, 4}) with
+// lockstep engine (central reference + engine threads {1, 4}) with
 // the mirror oracle, plus the central-replay final_lhs oracle and the
 // round identity.
 void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
@@ -213,22 +210,18 @@ void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
       << what;
 
   const SolverConfig base = mirror_config(options, options.rule);
-  for (const EngineImpl engine :
-       {EngineImpl::kCentralReference, EngineImpl::kIncremental}) {
-    for (const int threads : {1, 4}) {
-      if (engine == EngineImpl::kCentralReference && threads > 1) continue;
-      SolverConfig config = base;
-      config.engine = engine;
-      config.threads = threads;
-      ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
-      const SolveResult got = solve_with_plan(p, plan, config, &oracle);
-      expect_pass_matches(
-          run.passes.front(), got,
-          what + " engine=" + std::to_string(static_cast<int>(engine)) +
-              " threads=" + std::to_string(threads));
-      EXPECT_EQ(run.solution.selected, got.solution.selected) << what;
-      EXPECT_EQ(run.lambda_observed, got.stats.lambda_observed) << what;
-    }
+  // threads = 0 stands for the central reference engine.
+  for (const int threads : {0, 1, 4}) {
+    SolverConfig config = base;
+    config.threads = threads;
+    ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
+    const SolveResult got =
+        threads == 0 ? reference::solve(p, plan, config, &oracle)
+                     : solve_with_plan(p, plan, config, &oracle);
+    expect_pass_matches(run.passes.front(), got,
+                        what + " threads=" + std::to_string(threads));
+    EXPECT_EQ(run.solution.selected, got.solution.selected) << what;
+    EXPECT_EQ(run.lambda_observed, got.stats.lambda_observed) << what;
   }
 
   // The sharded final LHS must equal a central replay of the same stack,
@@ -268,23 +261,19 @@ void expect_split_parity(const Problem& p, const LayeredPlan& plan,
 
   // (a) Combined: the engine-side height split with a fresh mirror
   // oracle must produce the same better-of selection and merged lambda.
-  for (const EngineImpl engine :
-       {EngineImpl::kCentralReference, EngineImpl::kIncremental}) {
-    for (const int threads : {1, 4}) {
-      if (engine == EngineImpl::kCentralReference && threads > 1) continue;
-      SolverConfig config = base;
-      config.engine = engine;
-      config.threads = threads;
-      ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
-      const SolveResult combined = solve_height_split(p, plan, config,
-                                                      &oracle);
-      const std::string tag =
-          what + " engine=" + std::to_string(static_cast<int>(engine)) +
-          " threads=" + std::to_string(threads);
-      EXPECT_EQ(run.solution.selected, combined.solution.selected) << tag;
-      EXPECT_EQ(run.lambda_observed, combined.stats.lambda_observed) << tag;
-      EXPECT_EQ(run.solution.profit(p), combined.stats.profit) << tag;
-    }
+  // threads = 0 stands for the central reference engine.
+  for (const int threads : {0, 1, 4}) {
+    SolverConfig config = base;
+    config.threads = threads;
+    ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
+    const SolveResult combined =
+        threads == 0
+            ? reference::solve_height_split(p, plan, config, &oracle)
+            : solve_height_split(p, plan, config, &oracle);
+    const std::string tag = what + " threads=" + std::to_string(threads);
+    EXPECT_EQ(run.solution.selected, combined.solution.selected) << tag;
+    EXPECT_EQ(run.lambda_observed, combined.stats.lambda_observed) << tag;
+    EXPECT_EQ(run.solution.profit(p), combined.stats.profit) << tag;
   }
 
   // (b) Per pass: restricted engine runs sharing one mirror oracle (the

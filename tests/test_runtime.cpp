@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "dist/conflict_graph.hpp"
 #include "dist/luby_mis.hpp"
@@ -18,13 +17,11 @@ namespace {
 using testutil::small_tree_problem;
 
 // Every backend the transport-axis tests hold to identical behavior.
-constexpr TransportKind kAllTransports[] = {
-    TransportKind::kInProc, TransportKind::kSerialized,
-    TransportKind::kThreadedSerialized};
+constexpr TransportKind kAllTransports[] = {TransportKind::kInProc,
+                                            TransportKind::kSerialized};
 
 bool uses_codec(TransportKind kind) {
-  return kind == TransportKind::kSerialized ||
-         kind == TransportKind::kThreadedSerialized;
+  return kind == TransportKind::kSerialized;
 }
 
 TEST(Runtime, MessagesDeliveredAtRoundBoundary) {
@@ -149,10 +146,11 @@ TEST(Transport, CountersIdenticalAcrossBackends) {
       EXPECT_EQ(a.tag, b.tag);
       ASSERT_EQ(a.data.size(), b.data.size());
       // memcmp, not ==: -0.0 and NaN payloads must survive bit for bit.
-      if (!a.data.empty())
+      if (!a.data.empty()) {
         EXPECT_EQ(std::memcmp(a.data.data(), b.data.data(),
                               a.data.size() * sizeof(double)),
                   0);
+      }
     };
     for (std::size_t i = 0; i < ref.inbox0.size(); ++i)
       expect_same(got.inbox0[i], ref.inbox0[i]);
@@ -187,7 +185,7 @@ TEST(Transport, CodecHitsCountEveryMessageOnSerializedBackends) {
 
 TEST(Transport, UndrainedRoundsAccumulateInPostingOrder) {
   // Messages from several boundaries pile up in one inbox, oldest first,
-  // on every backend (the serialized wires append newly flushed bytes
+  // on every backend (the serialized wire appends newly flushed bytes
   // behind the undrained ones).
   for (TransportKind kind : kAllTransports) {
     SCOPED_TRACE(to_string(kind));
@@ -207,34 +205,6 @@ TEST(Transport, UndrainedRoundsAccumulateInPostingOrder) {
     }
     EXPECT_EQ(rt.drain(0).size(), 3u);
   }
-}
-
-TEST(Transport, ThreadedBackendAcceptsConcurrentPosts) {
-  // The one behavior kThreadedSerialized adds: post() is safe from
-  // concurrent threads between boundaries.  Counters and delivery must
-  // come out exact — no message lost, no byte miscounted.
-  Runtime rt(5, TransportKind::kThreadedSerialized);
-  for (int v = 1; v < 5; ++v) rt.connect(0, v);
-  const int kThreads = 4;
-  const int kPerThread = 200;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&rt, t] {
-      for (int i = 0; i < kPerThread; ++i)
-        rt.post(Message{0, 1 + (t + i) % 4, t, {static_cast<double>(i)}});
-    });
-  }
-  for (auto& w : workers) w.join();
-  rt.step();
-  const std::int64_t total = kThreads * kPerThread;
-  EXPECT_EQ(rt.messages_sent(), total);
-  EXPECT_EQ(rt.bytes_sent(), total * (16 + 8));
-  EXPECT_EQ(rt.codec_encoded(), total);
-  std::int64_t delivered = 0;
-  for (int v = 1; v < 5; ++v)
-    delivered += static_cast<std::int64_t>(rt.drain(v).size());
-  EXPECT_EQ(delivered, total);
-  EXPECT_EQ(rt.codec_decoded(), total);
 }
 
 TEST(Transport, RecycledInboxesAreReusedWithoutReallocation) {
@@ -280,12 +250,9 @@ TEST(Transport, RecycledInboxesAreReusedWithoutReallocation) {
 TEST(Transport, KindNamesParseAndResolve) {
   EXPECT_EQ(parse_transport_kind("inproc"), TransportKind::kInProc);
   EXPECT_EQ(parse_transport_kind("serialized"), TransportKind::kSerialized);
-  EXPECT_EQ(parse_transport_kind("threaded"),
-            TransportKind::kThreadedSerialized);
-  EXPECT_EQ(parse_transport_kind("threaded-serialized"),
-            TransportKind::kThreadedSerialized);
   EXPECT_EQ(parse_transport_kind("faulty"), TransportKind::kFaulty);
   EXPECT_THROW(parse_transport_kind("carrier-pigeon"), std::invalid_argument);
+  EXPECT_THROW(parse_transport_kind("threaded"), std::invalid_argument);
   // Non-default kinds pass through the resolver untouched.
   for (TransportKind kind : kAllTransports)
     EXPECT_EQ(resolve_transport_kind(kind), kind);
@@ -317,10 +284,11 @@ TEST(Codec, RoundTripPreservesEveryBitPattern) {
     EXPECT_EQ(got.to, m.to);
     EXPECT_EQ(got.tag, m.tag);
     ASSERT_EQ(got.data.size(), m.data.size());
-    if (!m.data.empty())
+    if (!m.data.empty()) {
       EXPECT_EQ(std::memcmp(got.data.data(), m.data.data(),
                             m.data.size() * sizeof(double)),
                 0);
+    }
   }
   EXPECT_EQ(offset, wire.size());  // stream fully consumed
 }
@@ -355,7 +323,9 @@ TEST(Codec, CorruptHeadersAreRejected) {
     std::string error;
     const bool ok =
         decode_message({wire.data(), wire.size()}, offset, out, &error);
-    if (!ok) EXPECT_EQ(offset, 0u);
+    if (!ok) {
+      EXPECT_EQ(offset, 0u);
+    }
     return ok;
   };
   EXPECT_FALSE(corrupt_field(0, -7));  // negative from
@@ -372,7 +342,7 @@ TEST(Codec, CorruptHeadersAreRejected) {
 TEST(Faulty, ParseFaultPlanAcceptsSpecsAndRejectsGarbage) {
   const FaultPlan plan = parse_fault_plan(
       "drop=0.05,dup=0.02,corrupt=0.01,reorder=0.1,delay=0.05,maxdelay=3,"
-      "budget=4,seed=7,inner=threaded");
+      "budget=4,seed=7,inner=inproc");
   EXPECT_DOUBLE_EQ(plan.drop, 0.05);
   EXPECT_DOUBLE_EQ(plan.duplicate, 0.02);
   EXPECT_DOUBLE_EQ(plan.corrupt, 0.01);
@@ -381,7 +351,7 @@ TEST(Faulty, ParseFaultPlanAcceptsSpecsAndRejectsGarbage) {
   EXPECT_EQ(plan.max_delay_rounds, 3);
   EXPECT_EQ(plan.retransmit_budget, 4);
   EXPECT_EQ(plan.seed, 7u);
-  EXPECT_EQ(plan.inner, TransportKind::kThreadedSerialized);
+  EXPECT_EQ(plan.inner, TransportKind::kInProc);
   EXPECT_TRUE(plan.any());
   EXPECT_FALSE(parse_fault_plan("").any());
   // "duplicate" and "retransmit" are accepted aliases.
@@ -660,7 +630,7 @@ TEST(LubyProtocol, IsolatedVerticesSelectImmediately) {
 TEST(LubyProtocol, BitIdenticalOnEveryTransport) {
   // The whole message-level Luby run — discovery plus the iteration loop
   // — must come out identical on every backend: same selection, same
-  // counters, and on the serialized wires every charged message really
+  // counters, and on the serialized wire every charged message really
   // crossed the codec.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Problem p = small_tree_problem(seed + 40, 24, 2, 14);
@@ -672,23 +642,19 @@ TEST(LubyProtocol, BitIdenticalOnEveryTransport) {
                           TransportKind::kInProc);
     EXPECT_EQ(ref.codec_encoded, 0);
     EXPECT_EQ(ref.codec_decoded, 0);
-    for (TransportKind kind : {TransportKind::kSerialized,
-                               TransportKind::kThreadedSerialized}) {
-      SCOPED_TRACE(to_string(kind));
-      const ProtocolResult got =
-          run_luby_protocol(p, {all.data(), all.size()}, seed, kind);
-      EXPECT_EQ(got.transport, kind);
-      ASSERT_EQ(got.selected, ref.selected);
-      EXPECT_EQ(got.rounds, ref.rounds);
-      EXPECT_EQ(got.messages, ref.messages);
-      EXPECT_EQ(got.bytes, ref.bytes);
-      EXPECT_EQ(got.discovery_rounds, ref.discovery_rounds);
-      EXPECT_EQ(got.discovery_messages, ref.discovery_messages);
-      EXPECT_EQ(got.discovery_bytes, ref.discovery_bytes);
-      // Every message encoded at post, every message decoded at drain.
-      EXPECT_EQ(got.codec_encoded, got.messages);
-      EXPECT_EQ(got.codec_decoded, got.messages);
-    }
+    const ProtocolResult got = run_luby_protocol(
+        p, {all.data(), all.size()}, seed, TransportKind::kSerialized);
+    EXPECT_EQ(got.transport, TransportKind::kSerialized);
+    ASSERT_EQ(got.selected, ref.selected);
+    EXPECT_EQ(got.rounds, ref.rounds);
+    EXPECT_EQ(got.messages, ref.messages);
+    EXPECT_EQ(got.bytes, ref.bytes);
+    EXPECT_EQ(got.discovery_rounds, ref.discovery_rounds);
+    EXPECT_EQ(got.discovery_messages, ref.discovery_messages);
+    EXPECT_EQ(got.discovery_bytes, ref.discovery_bytes);
+    // Every message encoded at post, every message decoded at drain.
+    EXPECT_EQ(got.codec_encoded, got.messages);
+    EXPECT_EQ(got.codec_decoded, got.messages);
   }
 }
 

@@ -112,7 +112,9 @@ inline Args parse(int argc, const char* const* argv) {
       } else if (contains(bool_flags(), name)) {
         if (eq != std::string::npos)
           throw UsageError("flag --" + name + " takes no value");
-        args.flags[name] = "1";
+        // A move-assigned string, not a literal: assigning "1" directly
+        // trips a GCC 12 -Wrestrict false positive at -O2 and above.
+        args.flags[name] = std::string("1");
       } else {
         throw UsageError("unknown flag --" + name);
       }

@@ -12,7 +12,7 @@
 //                 nonuniform|protocol|online] [--eps=0.1] [--ps] [--seed=1]
 //                 [--decomp=ideal|balancing|rootfix] [--out=sol.txt]
 //                 [--trace=trace.json]
-//                 [--transport=inproc|serialized|threaded]
+//                 [--transport=inproc|serialized]
 //                 [--faults=drop=0.05,dup=0.02,corrupt=0.01,seed=1]
 //                 [--arrivals=poisson|bursty|diurnal] [--rate=8]
 //                 [--batches=16] [--interval=1.0] [--lifetime=8.0]
