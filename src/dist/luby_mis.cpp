@@ -137,124 +137,30 @@ ProtocolResult run_luby_protocol(const Problem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// LubyMis oracle (implicit cliques).
+// LubyMis oracle (implicit cliques, per-instance streams).
 
 LubyMis::LubyMis(const Problem& problem, std::uint64_t seed)
-    : problem_(&problem),
-      seed_(seed),
-      rng_(SplitMix64(seed).next()),
-      edge_min_(static_cast<std::size_t>(problem.num_global_edges())),
-      demand_min_(static_cast<std::size_t>(problem.num_demands())),
-      edge_stamp_(static_cast<std::size_t>(problem.num_global_edges()), 0),
-      demand_stamp_(static_cast<std::size_t>(problem.num_demands()), 0),
-      edge_kill_(static_cast<std::size_t>(problem.num_global_edges()), 0),
-      demand_kill_(static_cast<std::size_t>(problem.num_demands()), 0) {}
+    : LubyMis(problem,
+              std::make_shared<std::vector<Rng>>(
+                  make_node_streams(seed, problem.num_instances())),
+              0, 0) {}
 
-std::unique_ptr<MisOracle> LubyMis::component_clone(std::uint64_t key) {
-  // SplitMix64 over (seed, key) gives each component an independent
-  // stream; the same (seed, epoch, component) always yields the same
-  // stream, so parallel runs are reproducible for any thread count.
-  SplitMix64 mix(seed_);
-  const std::uint64_t derived = mix.next() ^ SplitMix64(key).next();
-  return std::make_unique<LubyMis>(*problem_, derived);
+LubyMis LubyMis::budgeted(const Problem& problem, std::uint64_t seed,
+                          int luby_budget, int max_retries) {
+  return LubyMis(problem,
+                 std::make_shared<std::vector<Rng>>(
+                     make_node_streams(seed, problem.num_instances())),
+                 luby_budget > 0 ? luby_budget
+                                 : default_luby_budget(problem.num_instances()),
+                 std::max(max_retries, 0));
 }
 
-MisResult LubyMis::run(std::span<const InstanceId> candidates) {
-  MisResult result;
-  std::vector<InstanceId> live(candidates.begin(), candidates.end());
-  std::vector<double> draw(live.size(), 0.0);
-  std::vector<InstanceId> next;
-  int iterations = 0;
-
-  while (!live.empty()) {
-    ++iterations;
-    ++stamp_;
-
-    // Clique minima of (draw, id) over the live set.  An instance wins the
-    // iteration iff it is the minimum of *every* clique it belongs to —
-    // exactly "my key beats all conflicting neighbors' keys", since the
-    // neighborhood is the union of the instance's cliques.
-    for (std::size_t k = 0; k < live.size(); ++k)
-      draw[k] = rng_.uniform();
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Key key{draw[k], live[k]};
-      const DemandInstance& inst = problem_->instance(live[k]);
-      const auto d = static_cast<std::size_t>(inst.demand);
-      if (demand_stamp_[d] != stamp_ || key < demand_min_[d]) {
-        demand_stamp_[d] = stamp_;
-        demand_min_[d] = key;
-      }
-      for (EdgeId e : inst.edges) {
-        const auto ge = static_cast<std::size_t>(e);
-        if (edge_stamp_[ge] != stamp_ || key < edge_min_[ge]) {
-          edge_stamp_[ge] = stamp_;
-          edge_min_[ge] = key;
-        }
-      }
-    }
-
-    // Winners join the MIS and stamp their cliques as killing.
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Key key{draw[k], live[k]};
-      const DemandInstance& inst = problem_->instance(live[k]);
-      if (!(demand_min_[static_cast<std::size_t>(inst.demand)] == key))
-        continue;
-      bool wins = true;
-      for (EdgeId e : inst.edges) {
-        if (!(edge_min_[static_cast<std::size_t>(e)] == key)) {
-          wins = false;
-          break;
-        }
-      }
-      if (!wins) continue;
-      result.selected.push_back(live[k]);
-      demand_kill_[static_cast<std::size_t>(inst.demand)] = stamp_;
-      for (EdgeId e : inst.edges)
-        edge_kill_[static_cast<std::size_t>(e)] = stamp_;
-    }
-
-    // Survivors: live instances not conflicting with any winner.
-    next.clear();
-    for (InstanceId i : live) {
-      const DemandInstance& inst = problem_->instance(i);
-      bool dead = demand_kill_[static_cast<std::size_t>(inst.demand)] == stamp_;
-      for (EdgeId e : inst.edges) {
-        if (dead) break;
-        dead = edge_kill_[static_cast<std::size_t>(e)] == stamp_;
-      }
-      if (!dead) next.push_back(i);
-    }
-    live.swap(next);
-    draw.resize(live.size());
-  }
-
-  // The paper's accounting: 2 synchronous rounds per Luby iteration
-  // (draw exchange + winner notification).
-  result.rounds = 2 * std::max(iterations, 1);
-  TRACE_HIST("mis.luby_iterations", iterations);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// ProtocolLubyMis: the protocol scheduler's budgeted per-node Luby loop
-// as a modeled oracle (see header).
-
-ProtocolLubyMis::ProtocolLubyMis(const Problem& problem, std::uint64_t seed,
-                                 int luby_budget, int max_retries)
-    : ProtocolLubyMis(problem,
-                      std::make_shared<std::vector<Rng>>(make_node_streams(
-                          seed, problem.num_instances())),
-                      luby_budget > 0
-                          ? luby_budget
-                          : default_luby_budget(problem.num_instances()),
-                      max_retries) {}
-
-ProtocolLubyMis::ProtocolLubyMis(const Problem& problem,
-                                 std::shared_ptr<std::vector<Rng>> streams,
-                                 int luby_budget, int max_retries)
+LubyMis::LubyMis(const Problem& problem,
+                 std::shared_ptr<std::vector<Rng>> streams, int luby_budget,
+                 int max_retries)
     : problem_(&problem),
       budget_(luby_budget),
-      max_retries_(std::max(max_retries, 0)),
+      max_retries_(max_retries),
       streams_(std::move(streams)),
       edge_min_(static_cast<std::size_t>(problem.num_global_edges())),
       demand_min_(static_cast<std::size_t>(problem.num_demands())),
@@ -262,34 +168,30 @@ ProtocolLubyMis::ProtocolLubyMis(const Problem& problem,
       demand_stamp_(static_cast<std::size_t>(problem.num_demands()), 0),
       edge_kill_(static_cast<std::size_t>(problem.num_global_edges()), 0),
       demand_kill_(static_cast<std::size_t>(problem.num_demands()), 0) {
-  TS_REQUIRE(budget_ >= 1);
   TS_REQUIRE(streams_ != nullptr &&
              streams_->size() ==
                  static_cast<std::size_t>(problem.num_instances()));
 }
 
-std::unique_ptr<MisOracle> ProtocolLubyMis::component_clone(
-    std::uint64_t key) {
+std::unique_ptr<MisOracle> LubyMis::component_clone() {
   // The clone *shares* the per-instance streams: randomness is addressed
   // by instance, not by oracle, so running a conflict-disjoint component
-  // on a worker consumes exactly the draws the serial run would — the
-  // parallel engine stays bit-identical to the serial one.  `key` is
-  // deliberately unused for stream derivation.
-  (void)key;
+  // on a worker consumes exactly the draws the single-oracle run would.
   return std::unique_ptr<MisOracle>(
-      new ProtocolLubyMis(*problem_, streams_, budget_, max_retries_));
+      new LubyMis(*problem_, streams_, budget_, max_retries_));
 }
 
-void ProtocolLubyMis::run_iteration(std::vector<InstanceId>& live,
-                                    std::vector<double>& draw,
-                                    std::vector<InstanceId>& next,
-                                    MisResult& result) {
+void LubyMis::run_iteration(std::vector<InstanceId>& live,
+                            std::vector<double>& draw,
+                            std::vector<InstanceId>& next,
+                            MisResult& result) {
   ++stamp_;
 
   // Each live node draws from its own stream (the protocol's round 1),
   // then the clique minima of (draw, id) are computed over the live
   // set — an instance wins iff it is the strict minimum of every
-  // clique it belongs to, i.e. beats every live conflicting neighbor.
+  // clique it belongs to, i.e. beats every live conflicting neighbor,
+  // since the neighborhood is the union of the instance's cliques.
   for (std::size_t k = 0; k < live.size(); ++k)
     draw[k] = (*streams_)[static_cast<std::size_t>(live[k])].uniform();
   for (std::size_t k = 0; k < live.size(); ++k) {
@@ -309,6 +211,7 @@ void ProtocolLubyMis::run_iteration(std::vector<InstanceId>& live,
     }
   }
 
+  // Winners join the MIS and stamp their cliques as killing.
   for (std::size_t k = 0; k < live.size(); ++k) {
     const Key key{draw[k], live[k]};
     const DemandInstance& inst = problem_->instance(live[k]);
@@ -328,6 +231,7 @@ void ProtocolLubyMis::run_iteration(std::vector<InstanceId>& live,
       edge_kill_[static_cast<std::size_t>(e)] = stamp_;
   }
 
+  // Survivors: live instances not conflicting with any winner.
   next.clear();
   for (InstanceId i : live) {
     const DemandInstance& inst = problem_->instance(i);
@@ -342,50 +246,57 @@ void ProtocolLubyMis::run_iteration(std::vector<InstanceId>& live,
   draw.resize(live.size());
 }
 
-MisResult ProtocolLubyMis::run(std::span<const InstanceId> candidates) {
+MisResult LubyMis::run(std::span<const InstanceId> candidates) {
   MisResult result;
-  // The fixed protocol schedule: every MIS computation spends exactly
-  // budget_ iterations of 2 rounds each, decided nodes sitting the
-  // remainder out in silence.
-  result.rounds = 2 * budget_;
-
   std::vector<InstanceId> live(candidates.begin(), candidates.end());
   std::vector<double> draw(live.size(), 0.0);
   std::vector<InstanceId> next;
 
-  int iterations_used = 0;
-  for (int iter = 0; iter < budget_ && !live.empty(); ++iter) {
-    ++iterations_used;
+  // The main schedule.  Run-until-decided (budget_ == 0): every
+  // iteration at least the minimal key wins, so the live set strictly
+  // shrinks, and each executed iteration costs the paper's 2 synchronous
+  // rounds (draw exchange + winner notification).  The fixed protocol
+  // schedule: every MIS computation spends exactly budget_ iterations of
+  // 2 rounds each, decided nodes sitting the remainder out in silence.
+  int iterations = 0;
+  while (!live.empty() && (budget_ == 0 || iterations < budget_)) {
+    ++iterations;
     run_iteration(live, draw, next, result);
   }
+  result.rounds = 2 * (budget_ > 0 ? budget_ : std::max(iterations, 1));
 
-  // Adaptive budget retry: a starved stage re-runs with the budget
-  // doubled per attempt instead of silently leaving nodes undecided.
-  // Unlike the fixed main schedule, retry rounds are adaptive: only
-  // iterations actually executed are charged (2 rounds each).  Because
-  // the iteration dynamics decompose across conflict-disjoint
-  // components and draws are per-instance, a serial whole-frontier run
-  // enters attempt a exactly when some component would — so the retry
-  // count merges across parallel components as a per-step max, just
-  // like the round count.
+  // Adaptive budget retry (fixed schedule only; the run-until-decided
+  // schedule leaves nothing live): a starved stage re-runs with the
+  // budget doubled per attempt instead of silently leaving nodes
+  // undecided.  Unlike the fixed main schedule, retry rounds are
+  // adaptive: only iterations actually executed are charged (2 rounds
+  // each).  Because the iteration dynamics decompose across
+  // conflict-disjoint components and draws are per-instance, a
+  // whole-frontier run enters attempt a exactly when some component
+  // would — so the retry count merges across parallel components as a
+  // per-step max, just like the round count.
   int attempt = 0;
   while (!live.empty() && attempt < max_retries_) {
     ++attempt;
     ++result.retries;
     const int extra = budget_ << attempt;
     for (int iter = 0; iter < extra && !live.empty(); ++iter) {
-      ++iterations_used;
+      ++iterations;
       run_iteration(live, draw, next, result);
       result.rounds += 2;
     }
   }
   if (attempt > 0) TRACE_COUNTER("mis.budget_retries", attempt);
 
-  // The protocol sorts a step's accumulated winners before raising;
-  // undecided leftovers (budget and retries exhausted) are simply not
-  // selected.
+  // Winners in ascending id order — the order the protocol raises a
+  // step's winners in; undecided leftovers (budget and retries
+  // exhausted) are simply not selected.
   std::sort(result.selected.begin(), result.selected.end());
-  TRACE_HIST("mis.budget_iterations_used", iterations_used);
+  if (budget_ == 0) {
+    TRACE_HIST("mis.luby_iterations", iterations);
+  } else {
+    TRACE_HIST("mis.budget_iterations_used", iterations);
+  }
   if (!live.empty()) {
     TRACE_COUNTER("mis.budget_exhausted_steps", 1);
     TRACE_COUNTER("mis.budget_undecided_nodes",

@@ -14,12 +14,13 @@
 // conflict-free member set finishes in 2 discovery rounds + 2 Luby
 // rounds with only the registration messages on the wire.
 //
-// LubyMis is the production oracle the two-phase engine consumes
-// (framework/two_phase.hpp).  It runs the same iteration structure but on
-// the *implicit* conflict cliques (per-edge and per-demand minima) instead
-// of an explicit graph — O(sum path length) per iteration, no graph
-// construction — and reports the same round accounting: MisResult.rounds
-// = 2 rounds per iteration.  Both forms are deterministic by seed.
+// LubyMis is the oracle the two-phase engine consumes
+// (framework/two_phase.hpp).  It runs the same iteration structure on the
+// same per-node streams, but on the *implicit* conflict cliques
+// (per-edge and per-demand minima) instead of an explicit graph —
+// O(sum path length) per iteration, no graph construction — and reports
+// the same round accounting: MisResult.rounds = 2 rounds per iteration.
+// Both forms are deterministic by seed.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,7 @@ inline constexpr int kLubyTagWinner = 1;  // payload: {}
 // Per-processor private random streams: SplitMix64 expands one seed into
 // `count` independent Rng streams, one per node, so a node's draws do not
 // depend on the order anyone iterates the nodes in.  The message-level
-// protocol and its modeled twin (ProtocolLubyMis below) both build their
+// protocol and its modeled twin (LubyMis below) both build their
 // streams through this one helper, which is what makes their Luby
 // decisions — and hence the protocol-vs-engine parity suite's exact
 // comparisons — reproducible from the seed alone.
@@ -58,7 +59,7 @@ int default_luby_budget(int n);
 // 4x, ...) up to this many attempts before accepting the leftover as
 // undecided — the starved stage recovers instead of silently degrading
 // into mis_ok=false.  Shared default of the modeled oracle
-// (ProtocolLubyMis) and the wire protocol (ProtocolOptions) so their
+// (LubyMis::budgeted) and the wire protocol (ProtocolOptions) so their
 // lockstep parity is preserved.
 inline constexpr int kDefaultMisMaxRetries = 2;
 
@@ -111,92 +112,65 @@ ProtocolResult run_luby_protocol(
     std::uint64_t seed, TransportKind transport = TransportKind::kDefault,
     const FaultPlan* faults = nullptr);
 
-// Round-counting Luby oracle over the implicit conflict cliques.  One
-// instance is stateful: successive run() calls consume the same random
-// stream, so a whole engine run is reproducible from the seed.
-class LubyMis : public MisOracle {
- public:
-  LubyMis(const Problem& problem, std::uint64_t seed);
-
-  MisResult run(std::span<const InstanceId> candidates) override;
-
-  // Component-local oracle for parallel epoch execution: derives an
-  // independent stream from (seed, key), so the run is deterministic for
-  // any thread count.  Note this is a *different* randomness schedule
-  // than the serial single-stream run — threads >= 2 with LubyMis is
-  // reproducible but not bit-identical to threads == 1 (GreedyMis is;
-  // see MisOracle::component_clone).  The engine keys clones by
-  // component_stream_key(group, first member), and the clone never
-  // consumes this oracle's own stream, so forest reuse (including
-  // skipping fully-satisfied components without cloning) cannot shift
-  // any component's draws.
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
-
- private:
-  struct Key {
-    double value = 0.0;
-    InstanceId id = kNoInstance;
-    bool operator<(const Key& o) const {
-      return value < o.value || (value == o.value && id < o.id);
-    }
-    bool operator==(const Key& o) const {
-      return value == o.value && id == o.id;
-    }
-  };
-
-  const Problem* problem_;
-  std::uint64_t seed_ = 0;  // retained for component_clone derivation
-  Rng rng_;
-  // Per-edge / per-demand minimum key over the live candidates, with
-  // iteration stamps so no clearing is needed between iterations.
-  std::vector<Key> edge_min_, demand_min_;
-  std::vector<int> edge_stamp_, demand_stamp_;
-  std::vector<int> edge_kill_, demand_kill_;  // stamped when a winner uses it
-  int stamp_ = 0;
-};
-
-// The modeled twin of the protocol scheduler's budgeted Luby loop: a
-// MisOracle whose decisions are bit-identical to what the message-level
-// protocol computes on the wire.  Three properties make that exact:
+// Round-counting Luby oracle over the implicit conflict cliques — the one
+// modeled Luby the engine consumes.  Three properties make its decisions
+// independent of how the engine splits the work:
 //
 //  * draws come from *per-instance* streams (make_node_streams), exactly
 //    the streams the protocol's runtime nodes hold — so a draw depends
 //    only on (seed, instance, how often that instance has drawn), never
-//    on iteration order;
-//  * each run() spends exactly `luby_budget` iterations (stopping early
-//    only once every candidate has decided, which consumes no further
-//    draws — undecided leftovers are simply not selected, mirroring the
-//    protocol's fixed schedule);
+//    on iteration order or on which oracle object asks;
 //  * the winner rule is the per-clique strict minimum of (draw, id),
 //    which equals "my key beats every live conflicting neighbor's" on
-//    the discovered neighborhoods.
+//    the discovered neighborhoods;
+//  * winners come back in ascending id order (the member-rank order of
+//    a plan group), the order the protocol raises a step's winners in.
 //
-// Feeding this oracle to the two-phase engine in lockstep mode replays
-// the protocol's entire raise sequence, which is what the protocol
-// parity suite (tests/test_protocol_parity.cpp) compares with ==.
-//
-// Because the randomness is per instance, component_clone can hand each
+// Because the iteration dynamics decompose across conflict-disjoint
+// components and the draws are per instance, component_clone hands each
 // parallel-epoch worker a view onto the *same* shared streams (disjoint
-// components touch disjoint instances): unlike LubyMis, the parallel
-// engine run is bit-identical to the serial one, for any thread count.
-class ProtocolLubyMis : public MisOracle {
+// components touch disjoint instances): the engine's output is
+// bit-identical for every thread count.
+//
+// Two schedules:
+//  * LubyMis(problem, seed) iterates until every candidate decides and
+//    charges MisResult.rounds = 2 per executed iteration (at least one);
+//  * LubyMis::budgeted(...) is the protocol scheduler's fixed schedule:
+//    each run() spends exactly `luby_budget` iterations (stopping early
+//    only once every candidate has decided, which consumes no further
+//    draws), then the adaptive budget retry.  Feeding it to the
+//    two-phase engine in lockstep mode replays the protocol's entire
+//    raise sequence, which is what the protocol parity suite
+//    (tests/test_protocol_parity.cpp) compares with ==.
+class LubyMis : public MisOracle {
  public:
+  LubyMis(const Problem& problem, std::uint64_t seed);
+
+  // Not copyable: a copy would share the parent's streams and interleave
+  // its draws with the parent's.  Two oracles replay the same draws only
+  // when each is built from the seed.
+  LubyMis(const LubyMis&) = delete;
+  LubyMis& operator=(const LubyMis&) = delete;
+  LubyMis(LubyMis&&) = default;
+  LubyMis& operator=(LubyMis&&) = default;
+
   // `luby_budget` <= 0 derives default_luby_budget(num_instances).
   // `max_retries` bounds the adaptive budget retry: a run() whose fixed
   // budget ends with undecided candidates re-runs with the budget
   // doubled per attempt (2x, 4x, ...), up to max_retries attempts,
   // reporting the attempts in MisResult::retries and the extra
-  // iterations in MisResult::rounds.  0 restores the old silent-degrade
-  // behavior.
-  ProtocolLubyMis(const Problem& problem, std::uint64_t seed,
-                  int luby_budget = 0, int max_retries = kDefaultMisMaxRetries);
+  // iterations in MisResult::rounds.  0 leaves the undecided candidates
+  // unselected.
+  static LubyMis budgeted(const Problem& problem, std::uint64_t seed,
+                          int luby_budget = 0,
+                          int max_retries = kDefaultMisMaxRetries);
 
   MisResult run(std::span<const InstanceId> candidates) override;
 
   bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override;
+  std::unique_ptr<MisOracle> component_clone() override;
 
+  // 0 for the run-until-decided schedule.
   int luby_budget() const { return budget_; }
   int max_retries() const { return max_retries_; }
 
@@ -212,26 +186,27 @@ class ProtocolLubyMis : public MisOracle {
     }
   };
 
-  ProtocolLubyMis(const Problem& problem,
-                  std::shared_ptr<std::vector<Rng>> streams, int luby_budget,
-                  int max_retries);
+  LubyMis(const Problem& problem, std::shared_ptr<std::vector<Rng>> streams,
+          int luby_budget, int max_retries);
 
-  // One budgeted Luby iteration over `live` (draw, clique minima,
-  // winners into result.selected, survivor compaction) — the body both
-  // the main loop and the retry loop execute, so they cannot drift.
+  // One Luby iteration over `live` (draw, clique minima, winners into
+  // result.selected, survivor compaction) — the body every schedule
+  // executes, so they cannot drift.
   void run_iteration(std::vector<InstanceId>& live, std::vector<double>& draw,
                      std::vector<InstanceId>& next, MisResult& result);
 
   const Problem* problem_;
-  int budget_ = 1;
-  int max_retries_ = kDefaultMisMaxRetries;
+  int budget_ = 0;  // 0: iterate until every candidate decides
+  int max_retries_ = 0;
   // Shared with component clones: components of one epoch are disjoint
   // instance sets, so concurrent clones touch disjoint streams.
   std::shared_ptr<std::vector<Rng>> streams_;
-  // Per-oracle scratch (clique minima over the live set, stamped).
+  // Per-oracle scratch: per-edge / per-demand minimum key over the live
+  // candidates, with iteration stamps so no clearing is needed between
+  // iterations.
   std::vector<Key> edge_min_, demand_min_;
   std::vector<int> edge_stamp_, demand_stamp_;
-  std::vector<int> edge_kill_, demand_kill_;
+  std::vector<int> edge_kill_, demand_kill_;  // stamped when a winner uses it
   int stamp_ = 0;
 };
 

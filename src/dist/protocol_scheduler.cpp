@@ -175,7 +175,7 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
         // Adaptive budget retry: a starved step re-runs with the budget
         // doubled per attempt, up to options.mis_max_retries attempts —
         // the same loop (condition order, early exit, stream
-        // consumption) as the mirror oracle ProtocolLubyMis::run, so the
+        // consumption) as the mirror oracle LubyMis::budgeted, so the
         // engine parity stays exact.  The extra rounds are the adaptive
         // part of the otherwise-fixed schedule, broken out into
         // mis_retry_rounds to keep the round identity checkable.

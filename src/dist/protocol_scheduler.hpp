@@ -57,7 +57,7 @@
 //
 // The whole pipeline is held to *exact* (==) equality against the
 // modeled engine — lockstep TwoPhaseEngine runs driven by the
-// ProtocolLubyMis mirror oracle — by tests/test_protocol_parity.cpp:
+// LubyMis::budgeted mirror oracle — by tests/test_protocol_parity.cpp:
 // selected set, raise stack, per-instance final LHS (also against a
 // central DualState replay) and lambda, bit for bit.  To that end every
 // satisfaction test and slack computation reads the shard through

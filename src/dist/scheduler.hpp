@@ -28,7 +28,7 @@
 // dist/protocol_scheduler.hpp — rendezvous discovery, sharded duals,
 // fixed schedules — and report the same proven_ratio_bound.  The
 // protocol parity suite holds each wrapper to exact (==) agreement with
-// its modeled twin driven by the ProtocolLubyMis mirror oracle.
+// its modeled twin driven by the LubyMis::budgeted mirror oracle.
 #pragma once
 
 #include <cstdint>

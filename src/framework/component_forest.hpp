@@ -22,11 +22,8 @@
 //    (rank = position among the group's active members in plan order) —
 //    exactly the order a min-root union-find over the ranks emits;
 //  * members within a component are in ascending rank;
-//  * hence component_ids(g, c).front() is the same "first member" the
-//    engine keys MisOracle::component_clone streams by
-//    (component_stream_key in two_phase.hpp), so randomized oracles draw
-//    the same per-component streams the test-support reference's
-//    ComponentStreamOracle hands out.
+//  * so the layout is a function of (plan, active mask) alone, never of
+//    the thread count.
 //
 // Lifecycle: build() once per (problem, plan, active_mask) combination;
 // TwoPhaseEngine builds lazily on the first parallel run and invalidates

@@ -444,24 +444,24 @@ void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
 // concurrently; raises reaching *other* groups are deferred and replayed
 // by the merge in (step, member-rank) order — exactly the chronological
 // order the reference applies them in, which is what keeps the parallel
-// path bit-identical for decomposable (deterministic) oracles.  The
-// inline path is the same code with one component per epoch.
+// path bit-identical to the reference for every oracle whose clones
+// honor MisOracle's contract.  The inline path is the same code with one
+// component per epoch.
 
 int TwoPhaseEngine::derive_components(int group) {
   // The forest already holds this epoch's partition; deriving is pure
   // span slicing — O(|members| + #components).  Oracles are NOT cloned
   // here: run_component clones lazily once a frontier scan finds an
   // unsatisfied member (the monotone-frontier filter), so a fully
-  // satisfied component costs neither a clone nor a stream.  Clone
-  // streams derive from (seed, key), never from the parent oracle's
-  // state, so the laziness cannot shift any component's randomness.
+  // satisfied component costs no clone.  A clone decides exactly as the
+  // parent would (see MisOracle's contract), so the laziness cannot
+  // shift any component's decisions.
   const int count = forest_.components_in_group(group);
   if (static_cast<int>(comp_pool_.size()) < count)
     comp_pool_.resize(static_cast<std::size_t>(count));
   for (int c = 0; c < count; ++c) {
     EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
     comp.ids = forest_.component_ids(group, c);
-    comp.stream_key = component_stream_key(group, comp.ids.front());
     comp.oracle = nullptr;
     comp.clone.reset();
   }
@@ -572,10 +572,9 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
       if (unsat.empty()) break;
       // Lazy clone (parallel path): the component proved it has
       // frontier work, so it earns its oracle now.  component_clone is
-      // concurrency-safe on the parent and derives the stream from
-      // (seed, stream_key) alone — see MisOracle's contract.
+      // concurrency-safe on the parent — see MisOracle's contract.
       if (comp.oracle == nullptr) {
-        comp.clone = oracle_->component_clone(comp.stream_key);
+        comp.clone = oracle_->component_clone();
         TS_REQUIRE(comp.clone != nullptr);
         comp.oracle = comp.clone.get();
       }
@@ -612,13 +611,14 @@ void TwoPhaseEngine::run_component(EpochComponent& comp,
                            inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
         selected.emplace_back(rank_of_[static_cast<std::size_t>(i)], delta);
       }
-      // A clone's winners are logged in ascending member rank
-      // (randomized oracles report winners in decision order; raises
-      // within a step commute, so rank order is safe and deterministic).
-      // Ranks are unique, so the pair sort is a rank sort.  The inline
-      // component keeps the caller's oracle order — the order the
-      // reference raises in.
-      if (comp.clone != nullptr) std::sort(selected.begin(), selected.end());
+      // Winners are logged in ascending member rank whatever order the
+      // oracle reports them in (raises within a step commute, so rank
+      // order is safe and deterministic); the reference raises in the
+      // same order.  Ranks are unique, so the pair sort is a rank sort;
+      // the in-repo oracles already report ascending ids, i.e. rank
+      // order, which the check passes without sorting.
+      if (!std::is_sorted(selected.begin(), selected.end()))
+        std::sort(selected.begin(), selected.end());
       comp.step_rounds.push_back(mis.rounds);
       comp.step_retries.push_back(mis.retries);
       for (const auto& [rank, delta] : selected) {

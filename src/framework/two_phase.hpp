@@ -64,17 +64,6 @@ struct MisResult {
   int retries = 0;
 };
 
-// Stream key of one parallel-epoch component: the epoch (group) and the
-// component's first member in rank order.  One derivation shared by the
-// engine and the test-support reference oracle, so both hand
-// MisOracle::component_clone the same key — and randomized oracles the
-// same per-component stream.
-inline std::uint64_t component_stream_key(int group, InstanceId first_member) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(group))
-          << 32) ^
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(first_member));
-}
-
 // Maximal independent set oracle over the instance conflict graph
 // (conflicting = same demand or overlapping paths; paper, Section 2).
 class MisOracle {
@@ -84,31 +73,29 @@ class MisOracle {
 
   // Parallel epoch execution (SolverConfig::threads > 1) runs each
   // conflict-disjoint component of a group on its own worker, and each
-  // worker needs a private oracle: component_clone returns one dedicated
-  // to the component identified by `key` (stable across runs: derived
-  // from the epoch and the component's first member — see
-  // component_stream_key below).  Deterministic oracles return an
-  // equivalent oracle — GreedyMis's clone reproduces the single-oracle
-  // run bit for bit.  Randomized oracles derive an independent stream
-  // from (seed, key), which keeps the run deterministic for any thread
-  // count but deliberately distinct from the serial single-stream run.
+  // worker needs a private oracle: component_clone returns one for a
+  // single component.  A clone must make exactly the decisions its
+  // parent would make on the same candidates, so the engine's output
+  // does not depend on the thread count: deterministic oracles return
+  // an equivalent oracle (GreedyMis), randomized ones share the
+  // parent's per-instance streams (LubyMis) — components of one epoch
+  // are conflict-disjoint, so their clones touch disjoint streams.
   // Oracles that cannot run component-local leave
   // supports_component_clone() false; the engine then runs each epoch's
   // whole group as one component on the single parent oracle.
+  //
+  // The engine logs a step's winners in member-rank (= ascending id)
+  // order whatever order run() reports them in, and the central
+  // reference does the same.
   //
   // Concurrency contract: the engine's parallel path clones *lazily* from
   // worker threads (a component only receives an oracle once its first
   // frontier scan finds an unsatisfied member — fully satisfied
   // components never pay for one), so component_clone must be safe to
   // call concurrently on one parent oracle and must not mutate the
-  // parent (in particular it must not consume the parent's random
-  // stream — derive clone streams from (seed, key) instead, as LubyMis
-  // does).  All in-repo oracles satisfy this.
+  // parent.  All in-repo oracles satisfy this.
   virtual bool supports_component_clone() const { return false; }
-  virtual std::unique_ptr<MisOracle> component_clone(std::uint64_t key) {
-    (void)key;
-    return nullptr;
-  }
+  virtual std::unique_ptr<MisOracle> component_clone() { return nullptr; }
 };
 
 // Deterministic greedy MIS in instance-id order; 1 round (models local
@@ -119,8 +106,7 @@ class GreedyMis : public MisOracle {
   explicit GreedyMis(const Problem& problem);
   MisResult run(std::span<const InstanceId> candidates) override;
   bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone(std::uint64_t key) override {
-    (void)key;
+  std::unique_ptr<MisOracle> component_clone() override {
     return std::make_unique<GreedyMis>(*problem_);
   }
 
@@ -178,7 +164,7 @@ struct SolverConfig {
   // component can touch the LHS of another's members — the
   // per-processor shards are the unit of parallelism), components run
   // on a pool of this many workers, and the results are merged in fixed
-  // component order, so any threads >= 2 value yields the same output.
+  // component order, so every threads value yields the same output.
   // The number of threads actually *spawned* is additionally capped at
   // std::thread::hardware_concurrency() — oversubscribing a CPU-bound
   // lock-free pool only adds scheduler overhead, and the output is
@@ -328,7 +314,6 @@ class TwoPhaseEngine {
     // group runs inline, else a clone that run_component makes on first
     // need (a frontier scan that found an unsatisfied member), so a
     // fully satisfied component costs no clone.
-    std::uint64_t stream_key = 0;
     MisOracle* oracle = nullptr;
     std::unique_ptr<MisOracle> clone;
     std::vector<int> stage_begin;      // size stages + 1

@@ -134,7 +134,7 @@ SolveResult solve_masked(const Problem& problem, const LayeredPlan& plan,
         } else if (unsatisfied.empty()) {
           break;
         }
-        const MisResult mis = oracle->run(unsatisfied);
+        MisResult mis = oracle->run(unsatisfied);
         ++stats.steps;
         ++steps;
         stats.mis_rounds += mis.rounds;
@@ -149,6 +149,9 @@ SolveResult solve_masked(const Problem& problem, const LayeredPlan& plan,
           stats.lockstep_ok = false;
           break;
         }
+        // A step raises its winners in ascending id (= member-rank)
+        // order, whatever order the oracle reports them in.
+        std::sort(mis.selected.begin(), mis.selected.end());
         for (InstanceId i : mis.selected) {
           const DemandInstance& inst = problem.instance(i);
           const auto& critical = plan.critical[static_cast<std::size_t>(i)];
@@ -252,64 +255,6 @@ SolveResult solve_height_split(const Problem& problem,
   combined.stats.merge(parts[1].stats);
   combined.stats.profit = combined.solution.profit(problem);
   return combined;
-}
-
-// ---------------------------------------------------------------------------
-// ComponentStreamOracle
-
-ComponentStreamOracle::ComponentStreamOracle(const Problem& problem,
-                                             const LayeredPlan& plan,
-                                             MisOracle& parent)
-    : plan_(&plan), parent_(&parent) {
-  TS_REQUIRE(parent.supports_component_clone());
-  forest_.build(problem, plan,
-                std::vector<char>(
-                    static_cast<std::size_t>(problem.num_instances()), 1));
-}
-
-MisResult ComponentStreamOracle::run(std::span<const InstanceId> candidates) {
-  MisResult result;
-  result.rounds = 0;
-  if (candidates.empty()) return result;
-  const int group = plan_->group[static_cast<std::size_t>(candidates[0])];
-  const int count = forest_.components_in_group(group);
-  if (group != group_) {
-    // A new epoch: the engine clones afresh per epoch.
-    group_ = group;
-    clones_.clear();
-    clones_.resize(static_cast<std::size_t>(count));
-  }
-  parts_.resize(std::max(parts_.size(), static_cast<std::size_t>(count)));
-  for (auto& part : parts_) part.clear();
-  const int first = forest_.component_of(forest_.component_ids(group, 0)[0]);
-  for (InstanceId i : candidates) {
-    TS_REQUIRE(plan_->group[static_cast<std::size_t>(i)] == group);
-    parts_[static_cast<std::size_t>(forest_.component_of(i) - first)]
-        .push_back(i);
-  }
-  std::vector<InstanceId> winners;
-  for (int c = 0; c < count; ++c) {
-    const auto& part = parts_[static_cast<std::size_t>(c)];
-    if (part.empty()) continue;
-    auto& clone = clones_[static_cast<std::size_t>(c)];
-    if (clone == nullptr) {
-      clone = parent_->component_clone(
-          component_stream_key(group, forest_.component_ids(group, c)[0]));
-      TS_REQUIRE(clone != nullptr);
-    }
-    const MisResult part_result = clone->run(part);
-    result.rounds = std::max(result.rounds, part_result.rounds);
-    result.retries = std::max(result.retries, part_result.retries);
-    winners.insert(winners.end(), part_result.selected.begin(),
-                   part_result.selected.end());
-  }
-  // The engine logs a step's winners in member-rank order, which is the
-  // candidate order.
-  std::sort(winners.begin(), winners.end());
-  for (InstanceId i : candidates)
-    if (std::binary_search(winners.begin(), winners.end(), i))
-      result.selected.push_back(i);
-  return result;
 }
 
 }  // namespace treesched::reference

@@ -15,13 +15,9 @@
 // runs it.  The parity suites and bench_f12's `central` arm link it.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "decomp/layered.hpp"
-#include "framework/component_forest.hpp"
 #include "framework/two_phase.hpp"
 #include "model/problem.hpp"
 
@@ -30,7 +26,8 @@ namespace treesched::reference {
 // Phase 1 + phase 2 over every instance.  Fills every SolveResult field
 // the engine fills for the same config (stats, keep_stack's raise stack
 // and tags, keep_lhs's final LHS); the timing fields stay zero.
-// `oracle` may be null (a fresh GreedyMis).
+// `oracle` may be null (a fresh GreedyMis).  Each step raises the
+// oracle's winners in ascending id order, as the engine does.
 SolveResult solve(const Problem& problem, const LayeredPlan& plan,
                   const SolverConfig& config, MisOracle* oracle = nullptr);
 
@@ -48,35 +45,5 @@ SolveResult solve_height_split(const Problem& problem,
                                const LayeredPlan& plan,
                                const SolverConfig& config,
                                MisOracle* oracle = nullptr);
-
-// A MIS oracle that gives the reference the engine's parallel-epoch
-// randomness.  With threads > 1 the engine runs each conflict component
-// of an epoch on its own component_clone(component_stream_key(group,
-// first member)) of the parent oracle and logs each step's winners in
-// member-rank order.  This wrapper does the same inside one central run:
-// it splits every candidate set by component, runs each part on that
-// component's clone (cloned on first use, dropped when the epoch
-// changes), and returns the union in candidate order with the rounds
-// and retries of the slowest component.
-//
-// Exact while no component's MIS comes back empty next to a non-empty
-// one: the engine then retires that component for the rest of the
-// stage, which a single central candidate set cannot express.
-class ComponentStreamOracle : public MisOracle {
- public:
-  // Components are taken over all of `problem`'s instances.
-  ComponentStreamOracle(const Problem& problem, const LayeredPlan& plan,
-                        MisOracle& parent);
-
-  MisResult run(std::span<const InstanceId> candidates) override;
-
- private:
-  const LayeredPlan* plan_;
-  MisOracle* parent_;
-  ComponentForest forest_;
-  int group_ = -1;
-  std::vector<std::unique_ptr<MisOracle>> clones_;  // by component in group
-  std::vector<std::vector<InstanceId>> parts_;
-};
 
 }  // namespace treesched::reference

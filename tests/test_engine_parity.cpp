@@ -195,10 +195,10 @@ TEST(EngineParity, HeightSplitAndRestriction) {
 }
 
 TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
-  // A stateful randomized oracle consumes one global stream: with
-  // threads == 1 the engine's inline component presents it the exact
-  // same candidate sequences as the reference engine, so the whole run —
-  // draws included — is reproduced bit for bit.
+  // The unit-height rule with the default config: with threads == 1 the
+  // engine's inline component presents LubyMis the same candidate
+  // sequences as the reference engine, so the whole run — draws
+  // included — is reproduced bit for bit.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Problem p = small_tree_problem(seed + 400, 40, 2, 24);
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
@@ -259,31 +259,59 @@ TEST(EngineParity, NonCloningOracleRunsInlineAtFourThreads) {
   }
 }
 
-TEST(EngineParity, LubyParallelIsDeterministicAndCertified) {
-  // With threads >= 2, LubyMis runs per-component streams — deliberately
-  // a different randomness schedule than the serial run, but fully
-  // deterministic: any two parallel runs (any thread counts >= 2) agree
-  // exactly, and the run still meets the stage targets.
-  const Problem p = small_tree_problem(500, 48, 2, 28);
-  const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
-  SolverConfig config;
-  config.keep_stack = true;
-  config.epsilon = 0.2;
-  SolveResult first;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    for (const int threads : {2, 4}) {
-      SolverConfig run_config = config;
-      run_config.threads = threads;
-      LubyMis oracle(p, 9);
-      const SolveResult got = solve_with_plan(p, plan, run_config, &oracle);
-      require_feasible(p, got.solution);
-      EXPECT_GE(got.stats.lambda_observed, 1.0 - 0.2 - 1e-6);
-      if (repeat == 0 && threads == 2) {
-        first = got;
-        continue;
+TEST(EngineParity, LubyMatchesCentralAtEveryThreadCount) {
+  // LubyMis draws from per-instance streams that its component clones
+  // share, so the thread count cannot change a single draw: at threads
+  // 1, 2 and 4 the whole run equals the central reference driven by one
+  // LubyMis, bit for bit — on trees and lines, with the lockstep
+  // schedule on and off, and through the Section 6 height split.  Two
+  // arms: unit heights under the default config (the unit rule, eps
+  // 0.1), and bimodal heights under the narrow rule.
+  for (const HeightLaw heights : {HeightLaw::kUnit, HeightLaw::kBimodal}) {
+    const bool unit = heights == HeightLaw::kUnit;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const Problem tree = small_tree_problem(seed + 400, 40, 2, 24, heights);
+      const Problem line = small_line_problem(seed + 450, 30, 2, 12, heights);
+      for (const Problem* p : {&tree, &line}) {
+        const LayeredPlan plan =
+            p == &tree ? build_tree_layered_plan(*p, DecompKind::kIdeal)
+                       : build_line_layered_plan(*p);
+        for (const bool lockstep : {false, true}) {
+          SolverConfig config;
+          config.lockstep = lockstep;
+          config.keep_stack = true;
+          config.keep_lhs = true;
+          config.count_messages = true;
+          if (!unit) {
+            config.epsilon = 0.2;
+            config.rule = RaiseRuleKind::kNarrow;
+          }
+          LubyMis ref_oracle(*p, seed);
+          const SolveResult ref =
+              reference::solve(*p, plan, config, &ref_oracle);
+          LubyMis ref_split_oracle(*p, seed);
+          const SolveResult ref_split = reference::solve_height_split(
+              *p, plan, config, &ref_split_oracle);
+          for (const int threads : {1, 2, 4}) {
+            SolverConfig engine = config;
+            engine.threads = threads;
+            const std::string what =
+                std::string(unit ? "unit " : "bimodal ") +
+                (p == &tree ? "tree" : "line") +
+                " seed=" + std::to_string(seed) +
+                " lockstep=" + std::to_string(lockstep) +
+                " threads=" + std::to_string(threads);
+            LubyMis oracle(*p, seed);
+            const SolveResult got = solve_with_plan(*p, plan, engine, &oracle);
+            expect_identical(ref, got, what);
+            require_feasible(*p, got.solution);
+            LubyMis split_oracle(*p, seed);
+            expect_identical(
+                ref_split, solve_height_split(*p, plan, engine, &split_oracle),
+                what + " split");
+          }
+        }
       }
-      expect_identical(first, got,
-                       "luby-parallel threads=" + std::to_string(threads));
     }
   }
 }

@@ -5,6 +5,7 @@
 // conflict density).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -271,7 +272,7 @@ TEST(Fuzz, ProtocolOnRandomNonuniformCapacities) {
 }
 
 TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
-  // ProtocolLubyMis with a Luby budget of 1 is a deliberately *weak* MIS
+  // LubyMis::budgeted with a Luby budget of 1 is a deliberately *weak* MIS
   // oracle: each step decides only the per-clique (draw, id) minima and
   // leaves everyone else undecided, so the unsatisfied frontier shrinks
   // by a trickle across many steps *mid-stage* — the adversarial regime
@@ -297,7 +298,7 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
     config.lockstep = round >= 2;  // budget-short stages on these rounds
     config.rule = p.unit_height() ? RaiseRuleKind::kUnit
                                   : RaiseRuleKind::kNarrow;
-    ProtocolLubyMis central_oracle(p, seed, /*luby_budget=*/1);
+    LubyMis central_oracle = LubyMis::budgeted(p, seed, /*luby_budget=*/1);
     const SolveResult ref =
         reference::solve(p, plan, config, &central_oracle);
     require_feasible(p, ref.solution);
@@ -305,7 +306,7 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
     for (const int threads : {1, 4}) {
       SolverConfig engine = config;
       engine.threads = threads;
-      ProtocolLubyMis oracle(p, seed, /*luby_budget=*/1);
+      LubyMis oracle = LubyMis::budgeted(p, seed, /*luby_budget=*/1);
       const SolveResult got = solve_with_plan(p, plan, engine, &oracle);
       const std::string what = "round " + std::to_string(round) +
                                " threads=" + std::to_string(threads);
@@ -668,7 +669,9 @@ void require_replay_is_exact_prefix(const JournalImage& image,
   for (std::uint32_t b = 0; b < replay.batches.size(); ++b)
     encode_journal_record(replay.batches[b], b, again);
   ASSERT_EQ(again.size(), image.boundaries[replay.batches.size()]) << what;
-  ASSERT_EQ(std::memcmp(again.data(), image.bytes.data(), again.size()), 0)
+  // std::equal, not memcmp: an empty prefix has a null data() pointer,
+  // which memcmp may not receive even with a zero length.
+  ASSERT_TRUE(std::equal(again.begin(), again.end(), image.bytes.begin()))
       << what;
 }
 

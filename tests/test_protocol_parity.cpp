@@ -2,7 +2,7 @@
 // test_engine_parity.cpp): the wire protocol — rendezvous discovery,
 // sharded duals, budgeted per-node Luby, fixed schedules — must
 // reproduce the modeled two-phase engine EXACTLY when the engine runs in
-// lockstep mode driven by the ProtocolLubyMis mirror oracle.  Selected
+// lockstep mode driven by the LubyMis::budgeted mirror oracle.  Selected
 // set, raise stack, lambda and the per-instance final LHS (also against
 // a central DualState replay of the stack) are compared with ==, no
 // tolerances: the protocol reads its shards through the ordered beta
@@ -214,7 +214,7 @@ void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
   for (const int threads : {0, 1, 4}) {
     SolverConfig config = base;
     config.threads = threads;
-    ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
+    LubyMis oracle = LubyMis::budgeted(p, options.seed, run.luby_budget);
     const SolveResult got =
         threads == 0 ? reference::solve(p, plan, config, &oracle)
                      : solve_with_plan(p, plan, config, &oracle);
@@ -265,7 +265,7 @@ void expect_split_parity(const Problem& p, const LayeredPlan& plan,
   for (const int threads : {0, 1, 4}) {
     SolverConfig config = base;
     config.threads = threads;
-    ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
+    LubyMis oracle = LubyMis::budgeted(p, options.seed, run.luby_budget);
     const SolveResult combined =
         threads == 0
             ? reference::solve_height_split(p, plan, config, &oracle)
@@ -278,7 +278,7 @@ void expect_split_parity(const Problem& p, const LayeredPlan& plan,
 
   // (b) Per pass: restricted engine runs sharing one mirror oracle (the
   // stream consumption is per instance, so the classes cannot interact).
-  ProtocolLubyMis oracle(p, options.seed, run.luby_budget);
+  LubyMis oracle = LubyMis::budgeted(p, options.seed, run.luby_budget);
   for (const ProtocolPass& pass : run.passes) {
     SolverConfig config = base;
     config.rule = pass.rule;

@@ -8,7 +8,11 @@ CLI and the benches), and prints:
     (analysis window minus busy), and busy share of the window;
   * a phase table — per (category, name): span count, total time, and
     *exclusive* self time (total minus time covered by nested spans on
-    the same thread), sorted by self time;
+    the same thread), sorted by self time.  self% is a share of the
+    window's thread-time (window x the threads that recorded spans in
+    it): worker spans run concurrently with the main thread, so a
+    phase's self time summed over threads can exceed one thread's
+    window;
   * the critical-path phase — the top self-time phase on the main
     thread, i.e. where the wall clock actually went after subtracting
     the work that was delegated to nested spans;
@@ -83,14 +87,8 @@ def fmt_ms(us):
     return f"{us / 1000.0:.3f}"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="Chrome trace JSON from --trace=PATH")
-    parser.add_argument("--top", type=int, default=12,
-                        help="phase rows to print (default 12)")
-    args = parser.parse_args()
-
-    events, other = load_trace(args.trace)
+def parse_events(events):
+    """Splits trace events into ({tid: thread name}, [complete spans])."""
     thread_names = {}
     spans = []
     for ev in events:
@@ -100,22 +98,63 @@ def main():
             spans.append({"cat": ev.get("cat", "?"), "name": ev["name"],
                           "ts": float(ev["ts"]), "dur": float(ev["dur"]),
                           "tid": int(ev.get("tid", 0))})
+    return thread_names, spans
+
+
+def analysis_window(spans):
+    """(start, end, label): the longest engine/run span when present."""
+    run_spans = [s for s in spans
+                 if s["cat"] == "engine" and s["name"] == "run"]
+    if run_spans:
+        outer = max(run_spans, key=lambda s: s["dur"])
+        return outer["ts"], outer["ts"] + outer["dur"], "engine/run span"
+    return (min(s["ts"] for s in spans),
+            max(s["ts"] + s["dur"] for s in spans), "full trace extent")
+
+
+def window_threads(spans, window):
+    """Threads with at least one span overlapping the window."""
+    return sorted({s["tid"] for s in spans
+                   if s["ts"] < window[1] and s["ts"] + s["dur"] > window[0]})
+
+
+def phase_table(spans, window):
+    """Per-phase rows ranked by self time, after self_times(spans).
+
+    Each row is (phase, {count, total, self, self_pct}); self_pct divides
+    by the window's thread-time, so a phase running on several threads
+    at once cannot pass 100% of a window that holds all its spans.
+    """
+    window_us = max(window[1] - window[0], 1e-9)
+    capacity_us = window_us * max(len(window_threads(spans, window)), 1)
+    agg = defaultdict(lambda: {"count": 0, "total": 0.0, "self": 0.0})
+    for s in spans:
+        key = f"{s['cat']}/{s['name']}"
+        agg[key]["count"] += 1
+        agg[key]["total"] += s["dur"]
+        agg[key]["self"] += s["self_dur"]
+    for a in agg.values():
+        a["self_pct"] = 100.0 * a["self"] / capacity_us
+    return sorted(agg.items(), key=lambda kv: -kv[1]["self"])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("trace", help="Chrome trace JSON from --trace=PATH")
+    parser.add_argument("--top", type=int, default=12,
+                        help="phase rows to print (default 12)")
+    args = parser.parse_args()
+
+    events, other = load_trace(args.trace)
+    thread_names, spans = parse_events(events)
     if not spans:
         print(f"{args.trace}: no complete ('X') spans — was tracing "
               f"enabled (runtime gate) and compiled in?", file=sys.stderr)
         return 1
 
     # Analysis window: the engine/run umbrella when present.
-    run_spans = [s for s in spans
-                 if s["cat"] == "engine" and s["name"] == "run"]
-    if run_spans:
-        outer = max(run_spans, key=lambda s: s["dur"])
-        window = (outer["ts"], outer["ts"] + outer["dur"])
-        window_label = "engine/run span"
-    else:
-        window = (min(s["ts"] for s in spans),
-                  max(s["ts"] + s["dur"] for s in spans))
-        window_label = "full trace extent"
+    start, end, window_label = analysis_window(spans)
+    window = (start, end)
     window_us = max(window[1] - window[0], 1e-9)
 
     self_times(spans)
@@ -151,20 +190,16 @@ def main():
     print()
 
     # --- phase table -----------------------------------------------------
-    agg = defaultdict(lambda: {"count": 0, "total": 0.0, "self": 0.0})
-    for s in spans:
-        key = f"{s['cat']}/{s['name']}"
-        agg[key]["count"] += 1
-        agg[key]["total"] += s["dur"]
-        agg[key]["self"] += s["self_dur"]
-    ranked = sorted(agg.items(), key=lambda kv: -kv[1]["self"])
-    print(f"phases by exclusive self time (top {min(args.top, len(ranked))}):")
+    ranked = phase_table(spans, window)
+    threads = len(window_threads(spans, window))
+    print(f"phases by exclusive self time (top {min(args.top, len(ranked))}; "
+          f"self% of {threads} thread(s) x window):")
     print(f"  {'phase':<24} {'count':>7} {'total(ms)':>11} {'self(ms)':>10} "
           f"{'self%':>7}")
     for key, a in ranked[:args.top]:
         print(f"  {key:<24} {a['count']:>7} {fmt_ms(a['total']):>11} "
               f"{fmt_ms(a['self']):>10} "
-              f"{100.0 * a['self'] / window_us:>6.1f}%")
+              f"{a['self_pct']:>6.1f}%")
     print()
 
     # --- critical path ----------------------------------------------------
