@@ -19,10 +19,10 @@
 //    every instance is touched anyway; the two engines are near parity,
 //    with the incremental engine paying its propagation constant.
 //
-// The engine arms sweep threads in {1, 2, 4, 8}: threads=1 runs each
-// epoch's group inline as one component, the others run the persistent
-// component forest on a worker pool; every arm emits its
-// epoch_setup_ns / forest_build_ns / merge_ns breakdown.
+// The engine arms sweep threads in {1, 2, 4, 8}: every arm runs each
+// epoch's group inline on one thread, and the threads split only the
+// deferred out-of-group propagation at the end of each epoch; every arm
+// emits its epoch_setup_ns / merge_ns breakdown.
 //
 // All arms produce bit-identical output (tests/test_engine_parity,
 // tests/test_component_forest), so every row below differs only in wall
@@ -60,7 +60,6 @@ struct Measurement {
   double steps_per_sec = 0.0;
   double profit = 0.0;
   double epoch_setup_ns = 0.0;
-  double forest_build_ns = 0.0;
   double merge_ns = 0.0;
 };
 
@@ -87,7 +86,6 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
       m.wall_ms > 0.0 ? run.stats.steps * 1000.0 / m.wall_ms : 0.0;
   m.profit = checked_profit(p, run.solution);
   m.epoch_setup_ns = static_cast<double>(run.stats.epoch_setup_ns);
-  m.forest_build_ns = static_cast<double>(run.stats.forest_build_ns);
   m.merge_ns = static_cast<double>(run.stats.merge_ns);
   return m;
 }
@@ -133,7 +131,7 @@ int main(int argc, char** argv) {
               "O(|members| * path_len) rescan; >= 5x wall-clock at the "
               "largest size under the lockstep schedule, near parity "
               "under the adaptive schedule; the threads sweep records "
-              "the component-forest setup/merge breakdown per arm");
+              "the setup/merge breakdown per arm");
 
   std::vector<JsonRecord> runs;
   double largest_speedup = 0.0;
@@ -159,15 +157,14 @@ int main(int argc, char** argv) {
           if (arm.central) central_ms = m.wall_ms;
           const double speedup =
               m.wall_ms > 0.0 ? central_ms / m.wall_ms : 0.0;
-          const double setup_total_ns = m.epoch_setup_ns + m.forest_build_ns;
           table.add_row({workload == 0 ? "line" : "tree",
                          std::to_string(p.num_instances()), arm.name,
                          fmt(m.wall_ms, 1), std::to_string(m.steps),
                          fmt(m.steps_per_sec, 0), fmt(speedup, 2),
-                         fmt(setup_total_ns * 1e-6, 2),
+                         fmt(m.epoch_setup_ns * 1e-6, 2),
                          fmt(m.merge_ns * 1e-6, 2)});
           // "forest" stays a join key of the committed series; it is 1
-          // on every row since the per-epoch recompute arm was retired.
+          // on every row since the engine stopped building a forest.
           runs.push_back(
               {{"workload", static_cast<double>(workload)},
                {"n", static_cast<double>(n)},
@@ -182,7 +179,6 @@ int main(int argc, char** argv) {
                {"profit", m.profit},
                {"speedup", speedup},
                {"epoch_setup_ns", m.epoch_setup_ns},
-               {"forest_build_ns", m.forest_build_ns},
                {"merge_ns", m.merge_ns}});
           // The acceptance gate: incremental (threads=1) at the largest
           // line size under the distributed schedule.
@@ -204,10 +200,9 @@ int main(int argc, char** argv) {
               "(the eliminated rescan is steps * |members| * path_len); "
               "adaptive stays near 1x because nearly every stage touches "
               "every member once anyway.  The threads sweep is "
-              "determinism-preserving parallelism: on few-core hosts the "
-              "extra threads oversubscribe; the forest keeps the "
-              "per-epoch setup to span slicing and the deferred merge "
-              "parallelizes the out-of-group propagation.\n");
+              "determinism-preserving parallelism: the deferred merge "
+              "splits the out-of-group propagation by target id, and "
+              "only epochs whose raises reach many instances use it.\n");
   if (!trace_path.empty()) {
     const Problem p = line_workload(2048);
     const LayeredPlan plan = build_line_layered_plan(p);

@@ -140,46 +140,28 @@ ProtocolResult run_luby_protocol(const Problem& problem,
 // LubyMis oracle (implicit cliques, per-instance streams).
 
 LubyMis::LubyMis(const Problem& problem, std::uint64_t seed)
-    : LubyMis(problem,
-              std::make_shared<std::vector<Rng>>(
-                  make_node_streams(seed, problem.num_instances())),
-              0, 0) {}
+    : LubyMis(problem, seed, 0, 0) {}
 
 LubyMis LubyMis::budgeted(const Problem& problem, std::uint64_t seed,
                           int luby_budget, int max_retries) {
-  return LubyMis(problem,
-                 std::make_shared<std::vector<Rng>>(
-                     make_node_streams(seed, problem.num_instances())),
+  return LubyMis(problem, seed,
                  luby_budget > 0 ? luby_budget
                                  : default_luby_budget(problem.num_instances()),
                  std::max(max_retries, 0));
 }
 
-LubyMis::LubyMis(const Problem& problem,
-                 std::shared_ptr<std::vector<Rng>> streams, int luby_budget,
+LubyMis::LubyMis(const Problem& problem, std::uint64_t seed, int luby_budget,
                  int max_retries)
     : problem_(&problem),
       budget_(luby_budget),
       max_retries_(max_retries),
-      streams_(std::move(streams)),
+      streams_(make_node_streams(seed, problem.num_instances())),
       edge_min_(static_cast<std::size_t>(problem.num_global_edges())),
       demand_min_(static_cast<std::size_t>(problem.num_demands())),
       edge_stamp_(static_cast<std::size_t>(problem.num_global_edges()), 0),
       demand_stamp_(static_cast<std::size_t>(problem.num_demands()), 0),
       edge_kill_(static_cast<std::size_t>(problem.num_global_edges()), 0),
-      demand_kill_(static_cast<std::size_t>(problem.num_demands()), 0) {
-  TS_REQUIRE(streams_ != nullptr &&
-             streams_->size() ==
-                 static_cast<std::size_t>(problem.num_instances()));
-}
-
-std::unique_ptr<MisOracle> LubyMis::component_clone() {
-  // The clone *shares* the per-instance streams: randomness is addressed
-  // by instance, not by oracle, so running a conflict-disjoint component
-  // on a worker consumes exactly the draws the single-oracle run would.
-  return std::unique_ptr<MisOracle>(
-      new LubyMis(*problem_, streams_, budget_, max_retries_));
-}
+      demand_kill_(static_cast<std::size_t>(problem.num_demands()), 0) {}
 
 void LubyMis::run_iteration(std::vector<InstanceId>& live,
                             std::vector<double>& draw,
@@ -193,7 +175,7 @@ void LubyMis::run_iteration(std::vector<InstanceId>& live,
   // clique it belongs to, i.e. beats every live conflicting neighbor,
   // since the neighborhood is the union of the instance's cliques.
   for (std::size_t k = 0; k < live.size(); ++k)
-    draw[k] = (*streams_)[static_cast<std::size_t>(live[k])].uniform();
+    draw[k] = streams_[static_cast<std::size_t>(live[k])].uniform();
   for (std::size_t k = 0; k < live.size(); ++k) {
     const Key key{draw[k], live[k]};
     const DemandInstance& inst = problem_->instance(live[k]);
@@ -272,9 +254,8 @@ MisResult LubyMis::run(std::span<const InstanceId> candidates) {
   // adaptive: only iterations actually executed are charged (2 rounds
   // each).  Because the iteration dynamics decompose across
   // conflict-disjoint components and draws are per-instance, a
-  // whole-frontier run enters attempt a exactly when some component
-  // would — so the retry count merges across parallel components as a
-  // per-step max, just like the round count.
+  // whole-frontier run enters attempt a exactly when its slowest
+  // component would on its own.
   int attempt = 0;
   while (!live.empty() && attempt < max_retries_) {
     ++attempt;

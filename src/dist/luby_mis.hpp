@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -127,10 +126,9 @@ ProtocolResult run_luby_protocol(
 //    a plan group), the order the protocol raises a step's winners in.
 //
 // Because the iteration dynamics decompose across conflict-disjoint
-// components and the draws are per instance, component_clone hands each
-// parallel-epoch worker a view onto the *same* shared streams (disjoint
-// components touch disjoint instances): the engine's output is
-// bit-identical for every thread count.
+// components and the draws are per instance, running each component of
+// a candidate set on its own oracle built from the same seed selects
+// exactly what one run over the whole set does.
 //
 // Two schedules:
 //  * LubyMis(problem, seed) iterates until every candidate decides and
@@ -146,9 +144,9 @@ class LubyMis : public MisOracle {
  public:
   LubyMis(const Problem& problem, std::uint64_t seed);
 
-  // Not copyable: a copy would share the parent's streams and interleave
-  // its draws with the parent's.  Two oracles replay the same draws only
-  // when each is built from the seed.
+  // Not copyable: a copy would replay the draws the original has yet to
+  // make.  Two oracles replay the same draws only when each is built from
+  // the seed.
   LubyMis(const LubyMis&) = delete;
   LubyMis& operator=(const LubyMis&) = delete;
   LubyMis(LubyMis&&) = default;
@@ -167,9 +165,6 @@ class LubyMis : public MisOracle {
 
   MisResult run(std::span<const InstanceId> candidates) override;
 
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone() override;
-
   // 0 for the run-until-decided schedule.
   int luby_budget() const { return budget_; }
   int max_retries() const { return max_retries_; }
@@ -186,8 +181,8 @@ class LubyMis : public MisOracle {
     }
   };
 
-  LubyMis(const Problem& problem, std::shared_ptr<std::vector<Rng>> streams,
-          int luby_budget, int max_retries);
+  LubyMis(const Problem& problem, std::uint64_t seed, int luby_budget,
+          int max_retries);
 
   // One Luby iteration over `live` (draw, clique minima, winners into
   // result.selected, survivor compaction) — the body every schedule
@@ -198,9 +193,7 @@ class LubyMis : public MisOracle {
   const Problem* problem_;
   int budget_ = 0;  // 0: iterate until every candidate decides
   int max_retries_ = 0;
-  // Shared with component clones: components of one epoch are disjoint
-  // instance sets, so concurrent clones touch disjoint streams.
-  std::shared_ptr<std::vector<Rng>> streams_;
+  std::vector<Rng> streams_;  // one per instance (make_node_streams)
   // Per-oracle scratch: per-edge / per-demand minimum key over the live
   // candidates, with iteration stamps so no clearing is needed between
   // iterations.

@@ -2,36 +2,28 @@
 // components of the instance conflict graph, for every group of a
 // layered plan at once.
 //
-// The incremental engine's parallel epoch execution partitions each
-// epoch's group into conflict-disjoint components (no raise in one
-// component can touch the LHS of another's members).  That partition
-// depends only on static data — the Problem's paths/demands, the plan's
-// group assignment and the active mask — never on the dual state, so
-// recomputing it per epoch (a fresh union-find over every per-edge
-// clique chain, O(sum path) per epoch) repays work
-// the problem structure already fixed.  This class builds the whole
-// forest in ONE pass over the Problem's CSR edge->instances index
-// (contiguous bucket walks instead of scattered per-member path walks)
-// and stores it flat (two-level CSR: group -> components -> members),
-// so an epoch's setup drops to slicing spans + cloning oracles.
+// A group's partition into conflict-disjoint components (no raise in
+// one component can touch the LHS of another's members) depends only on
+// static data — the Problem's paths/demands, the plan's group
+// assignment and the active mask — never on the dual state.  This class
+// builds the whole forest in ONE pass over the Problem's CSR
+// edge->instances index (contiguous bucket walks instead of scattered
+// per-member path walks) and stores it flat (two-level CSR: group ->
+// components -> members).
 //
-// Determinism contract (what keeps the parallel engine bit-exact with the
-// central reference, which tests/test_component_forest.cpp enforces
-// with ==):
+// Determinism contract (tests/test_component_forest.cpp enforces it
+// with == against an independent BFS):
 //  * components of a group are ordered by their smallest member *rank*
 //    (rank = position among the group's active members in plan order) —
 //    exactly the order a min-root union-find over the ranks emits;
 //  * members within a component are in ascending rank;
-//  * so the layout is a function of (plan, active mask) alone, never of
-//    the thread count.
+//  * so the layout is a function of (plan, active mask) alone.
 //
-// Lifecycle: build() once per (problem, plan, active_mask) combination;
-// TwoPhaseEngine builds lazily on the first parallel run and invalidates
-// on restrict_to().  Within a stage the unsatisfied frontier only
-// shrinks, so components only ever split — the engine exploits that by
-// *filtering* (skipping components with no unsatisfied member at the
-// final stage target) rather than re-partitioning; the forest itself
-// never needs updating mid-run.
+// Users: the online scheduler (online/online_scheduler.hpp) keeps one
+// forest per height class, revised by update() after every event batch,
+// and keys its warm-start caches on the components; the benchmark's
+// solve-tree workload builds one to report the component count and the
+// largest component's share.
 #pragma once
 
 #include <cstdint>
@@ -80,15 +72,7 @@ class ComponentForest {
     return group_first_comp_[static_cast<std::size_t>(g) + 1] -
            group_first_comp_[static_cast<std::size_t>(g)];
   }
-  // Member ranks (positions among the group's active members, ascending)
-  // of component c of group g.
-  std::span<const int> component_ranks(int g, int c) const {
-    const int comp = group_first_comp_[static_cast<std::size_t>(g)] + c;
-    return {member_ranks_.data() + comp_member_begin_[comp],
-            static_cast<std::size_t>(comp_member_begin_[comp + 1] -
-                                     comp_member_begin_[comp])};
-  }
-  // The same members as instance ids (members[rank], same order).
+  // Members of component c of group g, ascending rank order.
   std::span<const InstanceId> component_ids(int g, int c) const {
     const int comp = group_first_comp_[static_cast<std::size_t>(g)] + c;
     return {member_ids_.data() + comp_member_begin_[comp],
@@ -139,17 +123,15 @@ class ComponentForest {
   std::vector<char> touched_group_, dirty_comp_;
   std::vector<int> upd_first_comp_;
   std::vector<std::int64_t> upd_member_begin_, group_cursor_;
-  std::vector<int> upd_ranks_;
   std::vector<InstanceId> upd_ids_;
   std::vector<std::int64_t> group_sizes_;
 
   // The flat forest: group g owns components
   // [group_first_comp_[g], group_first_comp_[g+1]); component c owns
-  // members [comp_member_begin_[c], comp_member_begin_[c+1]) of the
-  // parallel (member_ranks_, member_ids_) arrays.
+  // members [comp_member_begin_[c], comp_member_begin_[c+1]) of
+  // member_ids_.
   std::vector<int> group_first_comp_;
   std::vector<std::int64_t> comp_member_begin_;
-  std::vector<int> member_ranks_;
   std::vector<InstanceId> member_ids_;
 };
 

@@ -1,7 +1,6 @@
 #include "framework/two_phase.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -77,7 +76,6 @@ void SolveStats::merge(const SolveStats& other) {
   mis_failed_steps += other.mis_failed_steps;
   mis_retries += other.mis_retries;
   epoch_setup_ns += other.epoch_setup_ns;
-  forest_build_ns += other.forest_build_ns;
   merge_ns += other.merge_ns;
 }
 
@@ -121,9 +119,6 @@ void TwoPhaseEngine::restrict_to(std::vector<InstanceId> active) {
     TS_REQUIRE(i >= 0 && i < problem_->num_instances());
     active_mask_[static_cast<std::size_t>(i)] = 1;
   }
-  // The forest partitions the *active* members of every group; a new
-  // active set means a new forest.
-  forest_.invalidate();
 }
 
 void TwoPhaseEngine::count_notifications(InstanceId i, SolveStats& stats) {
@@ -269,7 +264,6 @@ void TwoPhaseEngine::build_edge_positions() {
           static_cast<int>(idx);
     }
   }
-  rank_of_.assign(static_cast<std::size_t>(n), -1);
 }
 
 void TwoPhaseEngine::build_local_stores() {
@@ -356,53 +350,25 @@ void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
   build_local_stores();
   double objective = 0.0;
 
-  // Parallel epochs need a component-local oracle per conflict
-  // component; with one thread, or an oracle that cannot clone, each
-  // epoch's whole group runs inline as one component on the caller's
-  // oracle, which then sees the same candidate sequence as the reference.
-  const bool parallel =
-      config_.threads > 1 && oracle_->supports_component_clone();
-  worker_scratch_.resize(
-      parallel ? static_cast<std::size_t>(config_.threads) : 1);
-  if (parallel && !forest_.built()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    forest_.build(*problem_, *plan_, active_mask_);
-    stats.forest_build_ns += elapsed_ns(t0);
-  }
-
   std::vector<std::vector<InstanceId>> stack;
   std::vector<InstanceId> raised_order;
   std::vector<InstanceId> members;
 
   for (int g = 0; g < plan_->num_groups; ++g) {
+    const auto setup_start = std::chrono::steady_clock::now();
     members.clear();
     for (InstanceId i : plan_->members[static_cast<std::size_t>(g)])
       if (is_active(i)) members.push_back(i);
+    stats.epoch_setup_ns += elapsed_ns(setup_start);
     if (members.empty()) continue;
     ++stats.epochs;
     TRACE_SPAN1("engine", "epoch", "group", g);
-
-    const auto setup_start = std::chrono::steady_clock::now();
-    const int comp_count = [&] {
-      TRACE_SPAN1("engine", "epoch_setup", "group", g);
-      for (std::size_t rank = 0; rank < members.size(); ++rank)
-        rank_of_[static_cast<std::size_t>(members[rank])] =
-            static_cast<int>(rank);
-      return parallel ? derive_components(g) : whole_group(members);
-    }();
-    stats.epoch_setup_ns += elapsed_ns(setup_start);
-    if (obs::tracing_enabled()) {
-      TRACE_HIST("engine.components_per_epoch", comp_count);
-      for (int c = 0; c < comp_count; ++c)
-        TRACE_HIST("engine.component_size",
-                   comp_pool_[static_cast<std::size_t>(c)].ids.size());
-    }
-    run_components(comp_count, rule, sched, g);
+    const std::int64_t fanout = run_epoch(members, rule, sched, g, objective,
+                                          stats, stack, raised_order);
     const auto merge_start = std::chrono::steady_clock::now();
     {
       TRACE_SPAN1("engine", "merge", "group", g);
-      merge_components(comp_count, members, rule, sched, g, objective, stats,
-                       stack, raised_order);
+      merge_deferred(g, fanout);
     }
     stats.merge_ns += elapsed_ns(merge_start);
   }
@@ -434,311 +400,121 @@ void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
 }
 
 // ---------------------------------------------------------------------------
-// Epochs as conflict-disjoint components.
+// One epoch: the group's stages run inline on the caller's oracle.
 //
 // Within one group, a raise of member i touches beta only on critical
-// edges of path(i) and alpha of i's demand; any member whose constraint
-// reads one of those variables conflicts with i and is therefore in i's
-// connected component of the conflict graph restricted to the group.  So
-// components never read each other's writes during an epoch and can run
-// concurrently; raises reaching *other* groups are deferred and replayed
-// by the merge in (step, member-rank) order — exactly the chronological
-// order the reference applies them in, which is what keeps the parallel
-// path bit-identical to the reference for every oracle whose clones
-// honor MisOracle's contract.  The inline path is the same code with one
-// component per epoch.
+// edges of path(i) and alpha of i's demand.  The group's own shards are
+// updated at once, because the next step's frontier test reads them;
+// raises reaching *other* groups are only logged, and merge_deferred
+// applies them after the epoch — nothing reads an out-of-group LHS
+// before the next epoch.  Each target shard then receives its
+// increments in (step, id) order, exactly the chronological order the
+// reference applies them in, which keeps the engine bit-identical to it.
 
-int TwoPhaseEngine::derive_components(int group) {
-  // The forest already holds this epoch's partition; deriving is pure
-  // span slicing — O(|members| + #components).  Oracles are NOT cloned
-  // here: run_component clones lazily once a frontier scan finds an
-  // unsatisfied member (the monotone-frontier filter), so a fully
-  // satisfied component costs no clone.  A clone decides exactly as the
-  // parent would (see MisOracle's contract), so the laziness cannot
-  // shift any component's decisions.
-  const int count = forest_.components_in_group(group);
-  if (static_cast<int>(comp_pool_.size()) < count)
-    comp_pool_.resize(static_cast<std::size_t>(count));
-  for (int c = 0; c < count; ++c) {
-    EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-    comp.ids = forest_.component_ids(group, c);
-    comp.oracle = nullptr;
-    comp.clone.reset();
-  }
-  return count;
-}
-
-int TwoPhaseEngine::whole_group(const std::vector<InstanceId>& members) {
-  if (comp_pool_.empty()) comp_pool_.emplace_back();
-  EpochComponent& comp = comp_pool_.front();
-  comp.ids = {members.data(), members.size()};
-  comp.oracle = oracle_;
-  comp.clone.reset();
-  return 1;
-}
-
-int TwoPhaseEngine::clamp_workers(int work_items) const {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(
-      1, std::min({config_.threads, work_items,
-                   hw > 0 ? static_cast<int>(hw) : config_.threads}));
-}
-
-void TwoPhaseEngine::run_components(int comp_count, const RaiseRule& rule,
-                                    const StageSchedule& sched, int group) {
-  if (comp_count == 1) {
-    TRACE_SPAN2("engine", "component", "size", comp_pool_[0].ids.size(),
-                "group", group);
-    run_component(comp_pool_[0], rule, sched, group, worker_scratch_[0]);
-    return;
-  }
-  // Fixed-size pool over an atomic work index: which worker runs which
-  // component is scheduling-dependent, but each component's writes are
-  // confined to its own members' shards and caches, and the merge
-  // replays everything in fixed component order — so the output is
-  // independent of the interleaving.
-  std::atomic<int> next{0};
-  const int workers = clamp_workers(comp_count);
-  // Per-worker busy time (loop entry to exhausted work queue); idle is
-  // the pool wall minus that, accumulated into the metrics registry
-  // after the join.
-  std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers), 0);
-  const auto work = [&](int w) {
-    WorkerScratch& scratch = worker_scratch_[static_cast<std::size_t>(w)];
-    const bool traced = obs::tracing_enabled();
-    const std::int64_t entered_ns = traced ? obs::trace_now_ns() : 0;
-    for (;;) {
-      const int c = next.fetch_add(1);
-      if (c >= comp_count) break;
-      EpochComponent& comp = comp_pool_[static_cast<std::size_t>(c)];
-      TRACE_SPAN2("engine", "component", "size", comp.ids.size(), "group",
-                  group);
-      run_component(comp, rule, sched, group, scratch);
-    }
-    if (traced)
-      busy_ns[static_cast<std::size_t>(w)] = obs::trace_now_ns() - entered_ns;
-  };
-  const std::int64_t pool_start_ns =
-      obs::tracing_enabled() ? obs::trace_now_ns() : 0;
-  TRACE_SPAN2("engine", "solve", "group", group, "components", comp_count);
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-  work(0);
-  for (std::thread& t : pool) t.join();
-  if (obs::tracing_enabled()) {
-    const std::int64_t pool_wall_ns = obs::trace_now_ns() - pool_start_ns;
-    auto& registry = obs::MetricsRegistry::global();
-    for (int w = 0; w < workers; ++w) {
-      const std::int64_t busy = busy_ns[static_cast<std::size_t>(w)];
-      registry.counter("engine.worker_busy_ns").add(busy);
-      registry.counter("engine.worker_idle_ns")
-          .add(std::max<std::int64_t>(0, pool_wall_ns - busy));
-    }
-  }
-}
-
-void TwoPhaseEngine::run_component(EpochComponent& comp,
-                                   const RaiseRule& rule,
-                                   const StageSchedule& sched, int group,
-                                   WorkerScratch& scratch) {
-  comp.reset_log(sched.stages_per_epoch);
-  std::vector<InstanceId>& unsat = scratch.unsat;
-  std::vector<double>& increments = scratch.increments;
-  std::vector<std::pair<int, double>>& selected = scratch.selected;
-  for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-    const double target = stage_target(sched, j);
-    int steps_this_stage = 0;
-    bool scanned = false;
-    for (;;) {
-      if (!scanned) {
-        unsat.clear();
-        for (InstanceId i : comp.ids)
-          if (unsatisfied_local(i, rule, target)) unsat.push_back(i);
-        scanned = true;
-      } else {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < unsat.size(); ++r)
-          if (unsatisfied_local(unsat[r], rule, target))
-            unsat[w++] = unsat[r];
-        unsat.resize(w);
-      }
-      if (config_.lockstep && steps_this_stage >= sched.lockstep_budget) {
-        if (!unsat.empty()) comp.ended_short = true;
-        break;
-      }
-      // A finished component simply stops recording; the merge pads the
-      // lockstep schedule's idle steps when *every* component is done.
-      if (unsat.empty()) break;
-      // Lazy clone (parallel path): the component proved it has
-      // frontier work, so it earns its oracle now.  component_clone is
-      // concurrency-safe on the parent — see MisOracle's contract.
-      if (comp.oracle == nullptr) {
-        comp.clone = oracle_->component_clone();
-        TS_REQUIRE(comp.clone != nullptr);
-        comp.oracle = comp.clone.get();
-      }
-      const MisResult mis = comp.oracle->run(
-          std::span<const InstanceId>(unsat.data(), unsat.size()));
-      ++steps_this_stage;
-      if (mis.selected.empty()) {
-        comp.mis_failed = true;
-        comp.step_rounds.push_back(mis.rounds);
-        comp.step_retries.push_back(mis.retries);
-        comp.step_begin.push_back(static_cast<int>(comp.rank_log.size()));
-        if (!config_.lockstep) {
-          comp.ended_short = true;
-          break;
-        }
-        TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-        continue;
-      }
-      selected.clear();
-      for (InstanceId i : mis.selected) {
-        const DemandInstance& inst = problem_->instance(i);
-        const auto& critical =
-            plan_->critical[static_cast<std::size_t>(i)];
-        const double slack =
-            inst.profit - lhs_local(i, rule.beta_coeff(inst));
-        TS_DCHECK(slack > 0.0);
-        const double delta =
-            rule.tight_raise(inst, critical, slack, increments);
-        // In-component application only; out-of-group propagation is the
-        // merge's job (in deterministic order).
-        propagate_in_group(i, delta, increments, group);
-        // The raise must satisfy i's constraint tightly (paper, 3.2).
-        TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
-                           inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
-        selected.emplace_back(rank_of_[static_cast<std::size_t>(i)], delta);
-      }
-      // Winners are logged in ascending member rank whatever order the
-      // oracle reports them in (raises within a step commute, so rank
-      // order is safe and deterministic); the reference raises in the
-      // same order.  Ranks are unique, so the pair sort is a rank sort;
-      // the in-repo oracles already report ascending ids, i.e. rank
-      // order, which the check passes without sorting.
-      if (!std::is_sorted(selected.begin(), selected.end()))
-        std::sort(selected.begin(), selected.end());
-      comp.step_rounds.push_back(mis.rounds);
-      comp.step_retries.push_back(mis.retries);
-      for (const auto& [rank, delta] : selected) {
-        comp.rank_log.push_back(rank);
-        comp.delta_log.push_back(delta);
-      }
-      comp.step_begin.push_back(static_cast<int>(comp.rank_log.size()));
-      TS_REQUIRE(steps_this_stage <= config_.max_steps_per_stage);
-    }
-    comp.stage_begin.push_back(static_cast<int>(comp.step_rounds.size()));
-  }
-}
-
-void TwoPhaseEngine::merge_components(
-    int comp_count, const std::vector<InstanceId>& members,
-    const RaiseRule& rule, const StageSchedule& sched, int group,
-    double& objective, SolveStats& stats,
-    std::vector<std::vector<InstanceId>>& stack,
+std::int64_t TwoPhaseEngine::run_epoch(
+    const std::vector<InstanceId>& members, const RaiseRule& rule,
+    const StageSchedule& sched, int group, double& objective,
+    SolveStats& stats, std::vector<std::vector<InstanceId>>& stack,
     std::vector<InstanceId>& raised_order) {
-  // Phase A (one thread, cheap): k-way merge of the per-component
-  // decision logs by (stage, step) into the chronological raise order,
-  // with the bookkeeping — objective accumulation, stack rows, stats,
-  // message counting — exactly as the reference interleaves it.
-  // The raises themselves are only *logged* (ids, deltas and the
-  // per-critical-edge increment slabs); their out-of-group propagation
-  // is deferred to Phase B below, which is safe because nothing reads an
-  // out-of-group LHS before the next epoch.
-  const std::span<EpochComponent> comps{comp_pool_.data(),
-                                        static_cast<std::size_t>(comp_count)};
-  std::vector<double>& increments = worker_scratch_.front().increments;
+  TRACE_SPAN2("engine", "solve", "size", members.size(), "group", group);
   merge_log_ids_.clear();
   merge_log_deltas_.clear();
   merge_inc_begin_.assign(1, 0);
   merge_inc_values_.clear();
-  // Estimated Phase-B application count (sum of the logged raises'
-  // CSR bucket sizes): decides deterministically whether the deferred
-  // propagation is worth a worker pool or should just run inline.
-  std::int64_t deferred_fanout = 0;
+  std::int64_t fanout = 0;
   for (int j = 1; j <= sched.stages_per_epoch; ++j) {
     ++stats.stages;
-    int max_steps = 0;
-    for (const EpochComponent& comp : comps)
-      max_steps = std::max(max_steps, comp.steps_in_stage(j - 1));
-    const int stage_steps =
-        config_.lockstep ? sched.lockstep_budget : max_steps;
-    int counted = 0;
+    const double target = stage_target(sched, j);
+    int steps_this_stage = 0;
     int rows_this_stage = 0;
-    bool stage_broken = false;
-    for (int t = 0; t < stage_steps && !stage_broken; ++t) {
-      merge_row_.clear();
-      int rounds_t = 0;
-      int retries_t = 0;
-      bool any_component = false;
-      for (const EpochComponent& comp : comps) {
-        if (t >= comp.steps_in_stage(j - 1)) continue;
-        any_component = true;
-        const auto s = static_cast<std::size_t>(
-            comp.stage_begin[static_cast<std::size_t>(j - 1)] + t);
-        rounds_t = std::max(rounds_t, comp.step_rounds[s]);
-        // Like the rounds: concurrent components share the step's retry
-        // attempts, and a whole-frontier run retries exactly as long as
-        // its worst component — max, not sum.
-        retries_t = std::max(retries_t, comp.step_retries[s]);
-        for (int k = comp.step_begin[s]; k < comp.step_begin[s + 1]; ++k)
-          merge_row_.emplace_back(comp.rank_log[static_cast<std::size_t>(k)],
-                                  comp.delta_log[static_cast<std::size_t>(k)]);
+    bool scanned = false;
+    for (;;) {
+      if (!scanned) {
+        unsat_.clear();
+        for (InstanceId i : members)
+          if (unsatisfied_local(i, rule, target)) unsat_.push_back(i);
+        scanned = true;
+      } else {
+        std::size_t w = 0;
+        for (std::size_t r = 0; r < unsat_.size(); ++r)
+          if (unsatisfied_local(unsat_[r], rule, target))
+            unsat_[w++] = unsat_[r];
+        unsat_.resize(w);
       }
+      if (config_.lockstep && steps_this_stage >= sched.lockstep_budget) {
+        if (!unsat_.empty()) stats.lockstep_ok = false;
+        break;
+      }
+      if (unsat_.empty()) {
+        // U is empty before the budget: the lockstep schedule idles
+        // through the remaining steps (one Luby iteration + propagation
+        // each) exactly as the reference does.
+        if (config_.lockstep) {
+          const int idle = sched.lockstep_budget - steps_this_stage;
+          stats.steps += idle;
+          stats.mis_rounds += 2 * static_cast<std::int64_t>(idle);
+          stats.comm_rounds += 3 * static_cast<std::int64_t>(idle);
+          steps_this_stage = sched.lockstep_budget;
+        }
+        break;
+      }
+      const MisResult mis = oracle_->run(
+          std::span<const InstanceId>(unsat_.data(), unsat_.size()));
+      ++steps_this_stage;
       ++stats.steps;
-      ++counted;
-      if (!any_component) {
-        // Every component finished before the budget: the union U is
-        // empty, and the lockstep schedule idles through the remaining
-        // steps exactly as the reference does.
-        stats.mis_rounds += 2;
-        stats.comm_rounds += 3;
-        continue;
-      }
-      // The merged step costs the *maximum* of the concurrent per-
-      // component MIS rounds: components run their iterations in the same
-      // synchronous rounds.
-      stats.mis_rounds += rounds_t;
-      stats.comm_rounds += rounds_t + 1;
-      stats.mis_retries += retries_t;
-      if (merge_row_.empty()) {
-        // Every live component's MIS came back empty this step: the
-        // union U's step failed exactly as a whole-frontier empty step
-        // would.  (Per-component failures that still yield a non-empty
-        // union only flip mis_ok below, not this counter — the counter
-        // must not depend on the decomposition, and the parity suite
-        // compares it with ==.)
+      stats.mis_rounds += mis.rounds;
+      stats.comm_rounds += mis.rounds + 1;
+      stats.mis_retries += mis.retries;
+      TS_REQUIRE(steps_this_stage <= kMaxStepsPerStage);
+      if (mis.selected.empty()) {
         stats.mis_ok = false;
         ++stats.mis_failed_steps;
         TRACE_COUNTER("engine.mis_failed_steps", 1);
-        if (!config_.lockstep) stage_broken = true;
-        continue;
+        if (config_.lockstep) continue;
+        stats.lockstep_ok = false;
+        break;
       }
-      // Rows from several components interleave by rank.
-      if (comp_count > 1) std::sort(merge_row_.begin(), merge_row_.end());
-      std::vector<InstanceId> row;
-      row.reserve(merge_row_.size());
-      for (const auto& [rank, delta] : merge_row_) {
-        const InstanceId i = members[static_cast<std::size_t>(rank)];
+      winners_.clear();
+      for (InstanceId i : mis.selected) {
         const DemandInstance& inst = problem_->instance(i);
-        const auto& critical =
-            plan_->critical[static_cast<std::size_t>(i)];
-        rule.beta_increments(inst, critical, delta, increments);
+        const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
+        const double slack = inst.profit - lhs_local(i, rule.beta_coeff(inst));
+        TS_DCHECK(slack > 0.0);
+        const double delta =
+            rule.tight_raise(inst, critical, slack, increments_);
+        propagate_in_group(i, delta, increments_, group);
+        // The raise must satisfy i's constraint tightly (paper, 3.2).
+        TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
+                           inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
+        winners_.emplace_back(i, delta);
+      }
+      // Winners are logged in ascending id order whatever order the
+      // oracle reports them in (raises within a step commute, so the
+      // order is safe and deterministic); the reference raises in the
+      // same order.  Ids are unique, so the pair sort is an id sort; the
+      // in-repo oracles already report ascending ids, which the check
+      // passes without sorting.
+      if (!std::is_sorted(winners_.begin(), winners_.end()))
+        std::sort(winners_.begin(), winners_.end());
+      std::vector<InstanceId> row;
+      row.reserve(winners_.size());
+      for (const auto& [i, delta] : winners_) {
+        const DemandInstance& inst = problem_->instance(i);
+        const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
+        rule.beta_increments(inst, critical, delta, increments_);
         merge_log_ids_.push_back(i);
         merge_log_deltas_.push_back(delta);
-        merge_inc_values_.insert(merge_inc_values_.end(), increments.begin(),
-                                 increments.end());
+        merge_inc_values_.insert(merge_inc_values_.end(), increments_.begin(),
+                                 increments_.end());
         merge_inc_begin_.push_back(
             static_cast<std::int64_t>(merge_inc_values_.size()));
         for (const EdgeId e : critical)
-          deferred_fanout += static_cast<std::int64_t>(
+          fanout += static_cast<std::int64_t>(
               problem_->instances_on_edge(e).size());
         if (config_.raise_alpha)
-          deferred_fanout += static_cast<std::int64_t>(
+          fanout += static_cast<std::int64_t>(
               problem_->instances_of_demand(inst.demand).size());
-        bookkeep_raise(i, delta, increments, objective, stats,
-                       raised_order);
+        bookkeep_raise(i, delta, increments_, objective, stats, raised_order);
         row.push_back(i);
       }
       if (config_.keep_stack)
@@ -746,18 +522,13 @@ void TwoPhaseEngine::merge_components(
       ++rows_this_stage;
       stack.push_back(std::move(row));
     }
-    stats.max_steps_in_stage = std::max(stats.max_steps_in_stage, counted);
+    stats.max_steps_in_stage =
+        std::max(stats.max_steps_in_stage, steps_this_stage);
   }
-  for (const EpochComponent& comp : comps) {
-    if (comp.mis_failed) stats.mis_ok = false;
-    if (comp.ended_short) stats.lockstep_ok = false;
-  }
+  return fanout;
+}
 
-  // Phase B: the deferred out-of-group propagation, partitioned by
-  // target instance id across the worker pool.  Shard k's increments
-  // arrive in chronological order within its partition — the order the
-  // reference applies them in — so any worker count yields the
-  // identical floating-point state.
+void TwoPhaseEngine::merge_deferred(int group, std::int64_t fanout) {
   if (merge_log_ids_.empty()) return;
   const InstanceId n = problem_->num_instances();
   // A small log is applied inline: below this many estimated bucket
@@ -765,25 +536,29 @@ void TwoPhaseEngine::merge_components(
   // Any deterministic threshold is parity-safe — one worker and many
   // produce the identical state.
   constexpr std::int64_t kParallelFanoutFloor = 4096;
-  const int workers = deferred_fanout < kParallelFanoutFloor
-                          ? 1
-                          : clamp_workers(static_cast<int>(n));
-  if (workers > 1) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers) - 1);
-    const auto range_begin = [&](int w) {
-      return static_cast<InstanceId>(
-          static_cast<std::int64_t>(n) * w / workers);
-    };
-    for (int w = 1; w < workers; ++w)
-      pool.emplace_back([this, group, &range_begin, w] {
-        apply_deferred_raises(group, range_begin(w), range_begin(w + 1));
-      });
-    apply_deferred_raises(group, range_begin(0), range_begin(1));
-    for (std::thread& t : pool) t.join();
-  } else {
-    apply_deferred_raises(group, 0, n);
+  int workers = 1;
+  if (config_.threads > 1 && fanout >= kParallelFanoutFloor) {
+    // Read once: the query costs a few microseconds per call.
+    static const int hw =
+        static_cast<int>(std::thread::hardware_concurrency());
+    workers = std::min({config_.threads, static_cast<int>(n),
+                        hw > 0 ? hw : config_.threads});
   }
+  if (workers <= 1) {
+    apply_deferred_raises(group, 0, n);
+    return;
+  }
+  const auto range_begin = [&](int w) {
+    return static_cast<InstanceId>(static_cast<std::int64_t>(n) * w / workers);
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers) - 1);
+  for (int w = 1; w < workers; ++w)
+    pool.emplace_back([this, group, &range_begin, w] {
+      apply_deferred_raises(group, range_begin(w), range_begin(w + 1));
+    });
+  apply_deferred_raises(group, range_begin(0), range_begin(1));
+  for (std::thread& t : pool) t.join();
 }
 
 void TwoPhaseEngine::apply_deferred_raises(int group, InstanceId lo,

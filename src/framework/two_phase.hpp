@@ -28,12 +28,12 @@
 // whose paths intersect a raised edge, and a per-stage *unsatisfied
 // frontier* that shrinks monotonically (raises never decrease an LHS
 // within a stage), so a step tests only the previous frontier instead
-// of rescanning the group.  Every epoch runs as conflict-disjoint
-// components followed by a deterministic merge: with
-// SolverConfig::threads > 1 (and an oracle that can clone) the
-// components come from a persistent ComponentForest and run on a worker
-// pool; otherwise the epoch's whole group is one component that runs
-// inline on the caller's oracle.
+// of rescanning the group.  Every epoch runs its whole group inline on
+// the caller's oracle, as one synchronous MIS-and-raise computation
+// (paper, Section 5).  A raise updates its own group's shards at once;
+// its effect on the other groups' shards is deferred to the end of the
+// epoch, where it is applied partitioned by target instance id —
+// SolverConfig::threads workers, the same output at any worker count.
 //
 // The parity oracle is a central reference engine (one central
 // DualState, full member rescan every step) that lives in the test
@@ -47,7 +47,6 @@
 
 #include "common/prelude.hpp"
 #include "decomp/layered.hpp"
-#include "framework/component_forest.hpp"
 #include "framework/dual_shard.hpp"
 #include "framework/raise_rule.hpp"
 #include "model/problem.hpp"
@@ -71,31 +70,9 @@ class MisOracle {
   virtual ~MisOracle() = default;
   virtual MisResult run(std::span<const InstanceId> candidates) = 0;
 
-  // Parallel epoch execution (SolverConfig::threads > 1) runs each
-  // conflict-disjoint component of a group on its own worker, and each
-  // worker needs a private oracle: component_clone returns one for a
-  // single component.  A clone must make exactly the decisions its
-  // parent would make on the same candidates, so the engine's output
-  // does not depend on the thread count: deterministic oracles return
-  // an equivalent oracle (GreedyMis), randomized ones share the
-  // parent's per-instance streams (LubyMis) — components of one epoch
-  // are conflict-disjoint, so their clones touch disjoint streams.
-  // Oracles that cannot run component-local leave
-  // supports_component_clone() false; the engine then runs each epoch's
-  // whole group as one component on the single parent oracle.
-  //
-  // The engine logs a step's winners in member-rank (= ascending id)
-  // order whatever order run() reports them in, and the central
-  // reference does the same.
-  //
-  // Concurrency contract: the engine's parallel path clones *lazily* from
-  // worker threads (a component only receives an oracle once its first
-  // frontier scan finds an unsatisfied member — fully satisfied
-  // components never pay for one), so component_clone must be safe to
-  // call concurrently on one parent oracle and must not mutate the
-  // parent.  All in-repo oracles satisfy this.
-  virtual bool supports_component_clone() const { return false; }
-  virtual std::unique_ptr<MisOracle> component_clone() { return nullptr; }
+  // The engine logs a step's winners in ascending id order whatever
+  // order run() reports them in, and the central reference does the
+  // same.
 };
 
 // Deterministic greedy MIS in instance-id order; 1 round (models local
@@ -105,10 +82,6 @@ class GreedyMis : public MisOracle {
  public:
   explicit GreedyMis(const Problem& problem);
   MisResult run(std::span<const InstanceId> candidates) override;
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone() override {
-    return std::make_unique<GreedyMis>(*problem_);
-  }
 
  private:
   const Problem* problem_;
@@ -124,6 +97,10 @@ class GreedyMis : public MisOracle {
 // are no longer polylog-bounded, matching the paper's remark that the
 // sequential round complexity can reach n.
 enum class StageMode { kMultiStage, kSingleStagePS, kExact };
+
+// Hard safety cap on the steps of one stage: the engine and the central
+// reference both abort (TS_REQUIRE) past it.
+inline constexpr int kMaxStepsPerStage = 200000;
 
 struct SolverConfig {
   double epsilon = 0.1;  // target slackness 1-eps (multi-stage mode)
@@ -157,21 +134,13 @@ struct SolverConfig {
   bool check_interference = false;
   // Count per-raise notification messages (distributed accounting).
   bool count_messages = false;
-  // Hard safety cap on steps per stage.
-  int max_steps_per_stage = 200000;
-  // Worker threads for parallel epoch execution: each epoch's group is
-  // partitioned into conflict-disjoint components (no raise in one
-  // component can touch the LHS of another's members — the
-  // per-processor shards are the unit of parallelism), components run
-  // on a pool of this many workers, and the results are merged in fixed
-  // component order, so every threads value yields the same output.
-  // The number of threads actually *spawned* is additionally capped at
-  // std::thread::hardware_concurrency() — oversubscribing a CPU-bound
-  // lock-free pool only adds scheduler overhead, and the output is
-  // independent of the worker count by construction, so the cap cannot
-  // change any result.  Requires an oracle that supports
-  // component_clone(); otherwise, and with threads <= 1, each epoch's
-  // whole group runs inline as one component on the caller's oracle.
+  // Worker threads for the deferred out-of-group propagation at the end
+  // of every epoch, split by target instance id.  Each shard receives
+  // its increments in chronological order, so every value yields the
+  // same output.  Spawns are capped at hardware_concurrency()
+  // (oversubscribing only adds scheduler overhead), and an epoch whose
+  // raises reach few instances applies them inline.  The MIS-and-raise
+  // steps always run on the caller's thread.
   int threads = 1;
 };
 
@@ -204,32 +173,19 @@ struct SolveStats {
   // How many whole steps spent their MIS budget without deciding anyone
   // (the silent degrade behind mis_ok = false, surfaced so the CLI and
   // benches can warn).  Counted only when the *entire* step's selection
-  // is empty — identically in the engine (any thread count) and the
-  // central reference, so the parity suites compare it with ==.
+  // is empty — identically in the engine and the central reference, so
+  // the parity suites compare it with ==.
   std::int64_t mis_failed_steps = 0;
   // Adaptive MIS budget retries (MisResult::retries summed over steps).
-  // A step's retry count is the max over its components — a
-  // whole-frontier run enters attempt a exactly when its worst component
-  // does, because the Luby dynamics decompose across conflict-disjoint
-  // components — so this, too, compares with == between the engine at
-  // any thread count and the central reference.
   std::int64_t mis_retries = 0;
 
   // Wall-clock breakdown of phase 1.  Timing, not semantics: every
   // field the parity suites compare with == is unaffected.
-  //   epoch_setup_ns   per-epoch component derivation: what the epoch
-  //                    loop pays serially before the components run —
-  //                    forest span slicing, or the one inline component.
-  //                    The frontier filtering and the (lazy) oracle
-  //                    clones happen inside the component runs, so they
-  //                    are not in this counter;
-  //   forest_build_ns  the one-time ComponentForest build of a parallel
-  //                    run (zero when the run is not parallel);
-  //   merge_ns         the deterministic merge — chronological replay,
-  //                    bookkeeping and the (parallel) deferred
-  //                    out-of-group propagation.
+  //   epoch_setup_ns   per-epoch gathering of the group's active members;
+  //   merge_ns         the deferred out-of-group propagation at the end
+  //                    of every epoch (partitioned across
+  //                    SolverConfig::threads workers).
   std::int64_t epoch_setup_ns = 0;
-  std::int64_t forest_build_ns = 0;
   std::int64_t merge_ns = 0;
 
   // Merge for combined (wide + narrow) runs: counts add, bounds add,
@@ -300,54 +256,6 @@ class TwoPhaseEngine {
     int lockstep_budget = 0;
     bool any_active = false;
   };
-  // One conflict-disjoint component of an epoch's group, plus the
-  // decision log its run records for the deterministic merge.  The
-  // members are a span (into the ComponentForest's flat storage, or the
-  // epoch's whole member list when the group runs inline), and the log
-  // is flat — stage s covers steps [stage_begin[s], stage_begin[s+1]) of
-  // step_rounds, step t's raises are entries
-  // [step_begin[t], step_begin[t+1]) of (rank_log, delta_log) — so a
-  // pooled component is reused across epochs without reallocating.
-  struct EpochComponent {
-    std::span<const InstanceId> ids;   // members, ascending rank
-    // The component's MIS oracle: the caller's oracle when the whole
-    // group runs inline, else a clone that run_component makes on first
-    // need (a frontier scan that found an unsatisfied member), so a
-    // fully satisfied component costs no clone.
-    MisOracle* oracle = nullptr;
-    std::unique_ptr<MisOracle> clone;
-    std::vector<int> stage_begin;      // size stages + 1
-    std::vector<int> step_begin;       // size total steps + 1
-    std::vector<int> step_rounds;      // per step
-    std::vector<int> step_retries;     // per step, parallel to step_rounds
-    std::vector<int> rank_log;         // raised member ranks, per step
-    std::vector<double> delta_log;     // parallel to rank_log
-    bool mis_failed = false;    // oracle returned empty on a non-empty pool
-    bool ended_short = false;   // stage ended with unsatisfied members left
-    int steps_in_stage(int stage_index) const {
-      return stage_begin[static_cast<std::size_t>(stage_index) + 1] -
-             stage_begin[static_cast<std::size_t>(stage_index)];
-    }
-    void reset_log(int stages) {
-      stage_begin.clear();
-      stage_begin.reserve(static_cast<std::size_t>(stages) + 1);
-      stage_begin.push_back(0);
-      step_begin.assign(1, 0);
-      step_rounds.clear();
-      step_retries.clear();
-      rank_log.clear();
-      delta_log.clear();
-      mis_failed = false;
-      ended_short = false;
-    }
-  };
-  // Per-worker scratch of the component runs, reused across epochs and
-  // components so the hot loop stops allocating.
-  struct WorkerScratch {
-    std::vector<InstanceId> unsat;
-    std::vector<double> increments;
-    std::vector<std::pair<int, double>> selected;  // (rank, delta)
-  };
 
   bool is_active(InstanceId i) const {
     return active_mask_[static_cast<std::size_t>(i)] != 0;
@@ -375,42 +283,32 @@ class TwoPhaseEngine {
            target * inst.profit - kEps * inst.profit;
   }
   // Applies a raise of in-group member i to the shards of its group's
-  // active members; out-of-group shards are the merge's job.
+  // active members; out-of-group shards are merge_deferred's job.
   void propagate_in_group(InstanceId i, double delta,
                           std::span<const double> increments, int group);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
-  // Component decomposition of one epoch, into comp_pool_[0..count):
-  // derive_components slices the persistent forest (one component per
-  // conflict component, each to be cloned an oracle); whole_group makes
-  // the single inline component on the caller's oracle.
-  int derive_components(int group);
-  int whole_group(const std::vector<InstanceId>& members);
-  // Threads actually spawned for `work_items` units of parallel work:
-  // SolverConfig::threads, clamped by the work available and by
-  // hardware_concurrency (oversubscribing a CPU-bound lock-free pool
-  // only adds scheduler overhead; outputs are worker-count-independent
-  // by construction, so the clamp cannot change any result).  One
-  // policy shared by the component pool and the deferred-propagation
-  // pool.
-  int clamp_workers(int work_items) const;
-  void run_components(int comp_count, const RaiseRule& rule,
-                      const StageSchedule& sched, int group);
-  void run_component(EpochComponent& comp, const RaiseRule& rule,
-                     const StageSchedule& sched, int group,
-                     WorkerScratch& scratch);
-  void merge_components(int comp_count,
-                        const std::vector<InstanceId>& members,
-                        const RaiseRule& rule, const StageSchedule& sched,
-                        int group, double& objective, SolveStats& stats,
-                        std::vector<std::vector<InstanceId>>& stack,
-                        std::vector<InstanceId>& raised_order);
-  // Applies the epoch's deferred out-of-group raises (the merge log) to
-  // the shards of instances in [lo, hi).  Each target shard receives its
-  // increments in chronological order, so partitioning [0, n) across
-  // workers reproduces the one-worker floating-point state bit for bit.
+  // Runs one epoch's stages over the group's active `members` on the
+  // caller's oracle: MIS, in-group raises and their bookkeeping step by
+  // step, out-of-group raises logged for merge_deferred.  Returns the
+  // logged raises' fan-out: the summed sizes of the CSR buckets they
+  // reach.
+  std::int64_t run_epoch(const std::vector<InstanceId>& members,
+                         const RaiseRule& rule, const StageSchedule& sched,
+                         int group, double& objective, SolveStats& stats,
+                         std::vector<std::vector<InstanceId>>& stack,
+                         std::vector<InstanceId>& raised_order);
+  // Applies the epoch's logged raises to the shards outside its group,
+  // partitioned by target instance id across up to SolverConfig::threads
+  // workers (capped by hardware_concurrency: oversubscribing a CPU-bound
+  // pool only adds scheduler overhead); a small `fanout` runs inline.
+  void merge_deferred(int group, std::int64_t fanout);
+  // Applies the merge log to the out-of-group shards of instances in
+  // [lo, hi).  Each target shard receives its increments in
+  // chronological order, so partitioning [0, n) across workers
+  // reproduces the one-worker floating-point state bit for bit.
   void apply_deferred_raises(int group, InstanceId lo, InstanceId hi);
 
   void count_notifications(InstanceId i, SolveStats& stats);
@@ -438,18 +336,13 @@ class TwoPhaseEngine {
   std::vector<char> lhs_fresh_;
   std::vector<std::int64_t> edge_pos_offset_;
   std::vector<int> edge_pos_;
-  // Rank (position among the epoch's active members) of each member.
-  std::vector<int> rank_of_;
 
-  // Persistent conflict-component forest: built lazily on the first
-  // parallel run, invalidated by restrict_to().
-  ComponentForest forest_;
-  // Epoch arenas, reused across epochs: the component pool (flat logs
-  // keep their capacity), per-worker scratch, and the merge's
-  // chronological raise log with its per-raise increment slabs.
-  std::vector<EpochComponent> comp_pool_;
-  std::vector<WorkerScratch> worker_scratch_;
-  std::vector<std::pair<int, double>> merge_row_;
+  // Epoch arenas, reused across epochs so the hot loop stops allocating:
+  // the step scratch, and the merge log — the epoch's raises in
+  // chronological order with their per-critical-edge increment slabs.
+  std::vector<InstanceId> unsat_;
+  std::vector<double> increments_;
+  std::vector<std::pair<InstanceId, double>> winners_;  // (id, delta)
   std::vector<InstanceId> merge_log_ids_;
   std::vector<double> merge_log_deltas_;
   std::vector<std::int64_t> merge_inc_begin_;

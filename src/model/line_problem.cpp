@@ -1,6 +1,8 @@
 #include "model/line_problem.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 namespace treesched {
 
@@ -8,6 +10,13 @@ LineProblem::LineProblem(int num_slots, int num_resources)
     : num_slots_(num_slots), num_resources_(num_resources) {
   check_input(num_slots_ >= 1, "line problem needs at least one timeslot");
   check_input(num_resources_ >= 1, "line problem needs at least one resource");
+  // lower() builds num_slots + 1 vertices and num_resources * num_slots
+  // global edges, all with int32 ids: a header past either is rejected
+  // here, before anything is allocated for it.
+  constexpr std::int64_t kMaxId = std::numeric_limits<EdgeId>::max();
+  check_input(num_slots_ < kMaxId, "line problem has too many timeslots");
+  check_input(static_cast<std::int64_t>(num_resources_) * num_slots_ <= kMaxId,
+              "line problem's resources x timeslots overflow the edge ids");
 }
 
 DemandId LineProblem::add_demand(int release, int deadline, int proc_time,

@@ -1,5 +1,5 @@
 // Flight-recorder tracing: a zero-cost-when-disabled span recorder for
-// the whole stack (engine epochs/components/merges, protocol passes and
+// the whole stack (engine epochs/solves/merges, protocol passes and
 // stages, wire rounds).
 //
 // Design:
@@ -12,9 +12,10 @@
 //    fills, the oldest spans are overwritten — flight-recorder
 //    semantics: the most recent window always survives, and the dump
 //    reports how much history was lost.
-//  * Worker threads are short-lived here (the engine recreates its pool
-//    every epoch), so ring slots are pooled: a thread parks its slot on
-//    exit and the next worker reuses it.  Distinct tids therefore stay
+//  * Worker threads are short-lived here (the engine starts its
+//    deferred-propagation workers afresh in every epoch that splits),
+//    so ring slots are pooled: a thread parks its slot on exit and the
+//    next worker reuses it.  Distinct tids therefore stay
 //    bounded by the maximum number of concurrent threads, which is also
 //    what makes per-worker timelines meaningful in the dump.
 //  * Dumps merge all rings deterministically (sorted by start time, then

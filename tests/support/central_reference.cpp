@@ -179,7 +179,7 @@ SolveResult solve_masked(const Problem& problem, const LayeredPlan& plan,
         if (config.keep_stack) result.stack_tags.push_back({g, j, rows});
         ++rows;
         stack.push_back(mis.selected);
-        TS_REQUIRE(steps <= config.max_steps_per_stage);
+        TS_REQUIRE(steps <= kMaxStepsPerStage);
       }
       stats.max_steps_in_stage = std::max(stats.max_steps_in_stage, steps);
     }

@@ -1,22 +1,20 @@
 // ComponentForest correctness and forest-vs-reference engine parity.
 //
-// The persistent forest must (a) partition every group's active members
+// The persistent forest must partition every group's active members
 // into exactly the connected components of the conflict graph restricted
 // to the group — checked against an independent BFS over
-// Problem::conflicting — with the engine's deterministic ordering
-// (components by first member rank, members rank-ascending), and
-// (b) drive the engine to outputs bit-identical to the central reference
-// (tests/support/central_reference.hpp): raise stacks, selected sets and
-// lambda are compared with ==, across threads in {1, 4} and both tree
-// decompositions, for the deterministic greedy oracle AND the
-// randomized LubyMis (whose clones share its per-instance streams, so
-// one reference run covers every thread count).
+// Problem::conflicting — with its deterministic ordering (components by
+// first member rank, members rank-ascending).  The suite also holds the
+// engine to outputs bit-identical to the central reference
+// (tests/support/central_reference.hpp) on component-rich inputs: raise
+// stacks, selected sets and lambda are compared with ==, across threads
+// in {1, 4} and both tree decompositions, for the deterministic greedy
+// oracle AND the randomized LubyMis.
 #include "framework/component_forest.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,29 +80,31 @@ void expect_forest_matches_reference(const Problem& p,
   forest.build(p, plan, active);
   ASSERT_TRUE(forest.built()) << what;
   ASSERT_EQ(forest.num_groups(), plan.num_groups) << what;
+  std::vector<int> rank(active.size(), -1);
   for (int g = 0; g < plan.num_groups; ++g) {
     const auto ref = bfs_components(p, plan, active, g);
     ASSERT_EQ(static_cast<std::size_t>(forest.components_in_group(g)),
               ref.size())
         << what << " group " << g;
-    int rank_base_check = 0;
+    // Rank: a member's position among the group's active members.
+    int active_members = 0;
+    for (InstanceId i : plan.members[static_cast<std::size_t>(g)])
+      if (active[static_cast<std::size_t>(i)])
+        rank[static_cast<std::size_t>(i)] = active_members++;
+    int placed = 0;
     for (std::size_t c = 0; c < ref.size(); ++c) {
       const auto ids = forest.component_ids(g, static_cast<int>(c));
       const std::vector<InstanceId> got(ids.begin(), ids.end());
       EXPECT_EQ(got, ref[c]) << what << " group " << g << " comp " << c;
-      // Ranks must be the members' positions among the group's active
-      // members, ascending within the component.
-      const auto ranks = forest.component_ranks(g, static_cast<int>(c));
-      ASSERT_EQ(ranks.size(), ids.size()) << what;
-      for (std::size_t k = 1; k < ranks.size(); ++k)
-        EXPECT_LT(ranks[k - 1], ranks[k]) << what;
-      rank_base_check += static_cast<int>(ranks.size());
+      // Members come in ascending rank within the component.
+      for (std::size_t k = 1; k < ids.size(); ++k)
+        EXPECT_LT(rank[static_cast<std::size_t>(ids[k - 1])],
+                  rank[static_cast<std::size_t>(ids[k])])
+            << what;
+      placed += static_cast<int>(ids.size());
     }
     // Every active member appears exactly once across the components.
-    int active_members = 0;
-    for (InstanceId i : plan.members[static_cast<std::size_t>(g)])
-      if (active[static_cast<std::size_t>(i)]) ++active_members;
-    EXPECT_EQ(rank_base_check, active_members) << what << " group " << g;
+    EXPECT_EQ(placed, active_members) << what << " group " << g;
   }
 }
 
@@ -186,9 +186,8 @@ TEST(ComponentForest, ForestVsReferenceBitIdenticalGreedy) {
 }
 
 TEST(ComponentForest, ForestVsReferenceBitIdenticalLuby) {
-  // Each forest component draws through its own LubyMis clone, and the
-  // clones share the parent's per-instance streams — so the randomized
-  // runs at threads 1 and 4 both coincide exactly with one reference run.
+  // LubyMis draws from per-instance streams, so the randomized runs at
+  // threads 1 and 4 both coincide exactly with one reference run.
   const Problem p = small_tree_problem(777, 40, 2, 24);
   for (const DecompKind kind :
        {DecompKind::kIdeal, DecompKind::kRootFixing}) {
@@ -213,33 +212,26 @@ TEST(ComponentForest, ForestVsReferenceBitIdenticalLuby) {
   }
 }
 
-// GreedyMis with its winners reported in reverse: a deterministic,
-// cloneable oracle whose decision order is never the member-rank order.
+// GreedyMis with its winners reported in reverse: a deterministic
+// oracle whose decision order is never the ascending-id order.
 class ReversedGreedy : public MisOracle {
  public:
-  explicit ReversedGreedy(const Problem& problem)
-      : problem_(&problem), inner_(problem) {}
+  explicit ReversedGreedy(const Problem& problem) : inner_(problem) {}
   MisResult run(std::span<const InstanceId> candidates) override {
     MisResult result = inner_.run(candidates);
     std::reverse(result.selected.begin(), result.selected.end());
     return result;
   }
-  bool supports_component_clone() const override { return true; }
-  std::unique_ptr<MisOracle> component_clone() override {
-    return std::make_unique<ReversedGreedy>(*problem_);
-  }
 
  private:
-  const Problem* problem_;
   GreedyMis inner_;
 };
 
 TEST(ComponentForest, RowOrderIsRankOrderWhateverTheOracleReports) {
-  // A step's raises are logged in member-rank order whatever order the
-  // oracle reports its winners in — inline (threads = 1) and from
-  // component clones (threads = 4) alike, and the reference does the
-  // same.  So the reversed oracle's runs at threads 1 and 4 equal each
-  // other, the reference, and the plain GreedyMis run.
+  // A step's raises are logged in ascending id order whatever order the
+  // oracle reports its winners in, and the reference does the same.  So
+  // the reversed oracle's runs at threads 1 and 4 equal each other, the
+  // reference, and the plain GreedyMis run.
   const Problem tree = small_tree_problem(779, 40, 2, 24);
   const Problem line = small_line_problem(780, 24, 1, 14);
   for (const Problem* p : {&tree, &line}) {
@@ -263,11 +255,10 @@ TEST(ComponentForest, RowOrderIsRankOrderWhateverTheOracleReports) {
   }
 }
 
-TEST(ComponentForest, RestrictToInvalidatesAndRebuilds) {
-  // One engine object, two different restrictions: the forest must be
-  // rebuilt after restrict_to (a stale partition over the old active set
-  // would run wrong components).  Each restricted run must match the
-  // reference over the same subset bit for bit.
+TEST(ComponentForest, ReusedEngineMatchesReferenceAcrossRestrictions) {
+  // One engine object, two different restrictions: nothing of the first
+  // active set may leak into the second run.  Each restricted run must
+  // match the reference over the same subset bit for bit.
   const Problem p = small_tree_problem(888, 32, 2, 18,
                                        HeightLaw::kBimodal);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);

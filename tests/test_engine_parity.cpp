@@ -1,6 +1,7 @@
 // Engine-vs-reference parity (the oracle that keeps the engine honest):
-// the shard-backed frontier engine — inline and with parallel epoch
-// execution — must reproduce the central-DualState reference engine
+// the shard-backed frontier engine — at one worker thread and with its
+// deferred out-of-group propagation split across several — must
+// reproduce the central-DualState reference engine
 // (tests/support/central_reference.hpp) EXACTLY.  Selected set, raise
 // stack and its tags, final LHS, lambda_observed, dual_objective and
 // every count are compared with ==, no tolerances: the engine replays
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <thread>
 
 #include "decomp/layered.hpp"
 #include "dist/luby_mis.hpp"
@@ -68,9 +71,7 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
 }
 
 // Runs the reference engine and the engine (threads = 1 and threads = 4)
-// on the same problem/plan/config and demands bitwise equality.  The
-// default GreedyMis oracle is deterministic and component-decomposable,
-// so all three runs must coincide exactly.
+// on the same problem/plan/config and demands bitwise equality.
 void expect_parity(const Problem& p, const LayeredPlan& plan,
                    SolverConfig config, const std::string& what) {
   config.keep_stack = true;
@@ -195,10 +196,9 @@ TEST(EngineParity, HeightSplitAndRestriction) {
 }
 
 TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
-  // The unit-height rule with the default config: with threads == 1 the
-  // engine's inline component presents LubyMis the same candidate
-  // sequences as the reference engine, so the whole run — draws
-  // included — is reproduced bit for bit.
+  // The unit-height rule with the default config: the engine presents
+  // LubyMis the same candidate sequences as the reference engine, so the
+  // whole run — draws included — is reproduced bit for bit.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Problem p = small_tree_problem(seed + 400, 40, 2, 24);
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
@@ -212,61 +212,13 @@ TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
   }
 }
 
-// GreedyMis behind an oracle that cannot clone (supports_component_clone
-// keeps MisOracle's default, false).
-class NonCloningGreedy : public MisOracle {
- public:
-  explicit NonCloningGreedy(const Problem& problem) : inner_(problem) {}
-  MisResult run(std::span<const InstanceId> candidates) override {
-    return inner_.run(candidates);
-  }
-
- private:
-  GreedyMis inner_;
-};
-
-TEST(EngineParity, NonCloningOracleRunsInlineAtFourThreads) {
-  // Without component_clone the engine cannot give components their own
-  // oracles, so even at threads = 4 every epoch's whole group runs
-  // inline on the caller's oracle — no forest is built — and the run
-  // must still equal the reference exactly.
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Problem tree = small_tree_problem(seed + 900, 36, 2, 20);
-    const Problem line = small_line_problem(seed + 950, 30, 2, 10);
-    for (const Problem* p : {&tree, &line}) {
-      const LayeredPlan plan = p == &tree
-                                   ? build_tree_layered_plan(*p,
-                                                             DecompKind::kIdeal)
-                                   : build_line_layered_plan(*p);
-      for (const bool lockstep : {false, true}) {
-        SolverConfig config;
-        config.lockstep = lockstep;
-        config.keep_stack = true;
-        config.keep_lhs = true;
-        config.count_messages = true;
-        const SolveResult ref = reference::solve(*p, plan, config);
-        config.threads = 4;
-        NonCloningGreedy oracle(*p);
-        const SolveResult got = solve_with_plan(*p, plan, config, &oracle);
-        const std::string what = std::string(p == &tree ? "tree" : "line") +
-                                 " seed=" + std::to_string(seed) +
-                                 " lockstep=" + std::to_string(lockstep);
-        expect_identical(ref, got, what);
-        EXPECT_EQ(got.stats.forest_build_ns, 0) << what;
-        require_feasible(*p, got.solution);
-      }
-    }
-  }
-}
-
 TEST(EngineParity, LubyMatchesCentralAtEveryThreadCount) {
-  // LubyMis draws from per-instance streams that its component clones
-  // share, so the thread count cannot change a single draw: at threads
-  // 1, 2 and 4 the whole run equals the central reference driven by one
-  // LubyMis, bit for bit — on trees and lines, with the lockstep
-  // schedule on and off, and through the Section 6 height split.  Two
-  // arms: unit heights under the default config (the unit rule, eps
-  // 0.1), and bimodal heights under the narrow rule.
+  // The thread count cannot change a single draw: at threads 1, 2 and 4
+  // the whole run equals the central reference driven by one LubyMis,
+  // bit for bit — on trees and lines, with the lockstep schedule on and
+  // off, and through the Section 6 height split.  Two arms: unit heights
+  // under the default config (the unit rule, eps 0.1), and bimodal
+  // heights under the narrow rule.
   for (const HeightLaw heights : {HeightLaw::kUnit, HeightLaw::kBimodal}) {
     const bool unit = heights == HeightLaw::kUnit;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -315,6 +267,88 @@ TEST(EngineParity, LubyMatchesCentralAtEveryThreadCount) {
     }
   }
 }
+
+// The line and tree workloads of bench/bench_f12_engine_throughput.cpp.
+// At f12's smallest sizes (256 slots, 1024 vertices) their epochs
+// already reach enough out-of-group shard entries for the deferred
+// propagation to split across workers.
+Problem f12_line(int slots) {
+  LineScenarioSpec spec;
+  spec.line.num_slots = slots;
+  spec.line.num_resources = 2;
+  spec.line.num_demands = slots / 2;
+  spec.line.min_proc_time = 8;
+  spec.line.max_proc_time = slots / 8;
+  spec.line.window_slack = 2.0;
+  spec.line.profit_max = 1e4;
+  spec.seed = 42;
+  return make_line_problem(spec);
+}
+
+Problem f12_tree(int n) {
+  TreeScenarioSpec spec;
+  spec.num_vertices = n;
+  spec.num_networks = 2;
+  spec.demands.num_demands = 3 * n / 4;
+  spec.demands.profit_max = 1e4;
+  spec.seed = 42;
+  return make_tree_problem(spec);
+}
+
+TEST(EngineParity, DeferredPropagationPartitionMatchesReference) {
+  // The engine's one threaded step: an epoch's raises reach the other
+  // groups' shards through a propagation split by target id across
+  // workers.  On these inputs the split really runs — the merge_slab
+  // spans come from at least two threads — and every output still
+  // equals the one-thread central reference exactly.
+  if (std::thread::hardware_concurrency() < 2)
+    GTEST_SKIP() << "the propagation split needs two hardware threads";
+#ifdef TREESCHED_TRACING_DISABLED
+  GTEST_SKIP() << "tracing is compiled out; the split cannot be observed";
+#endif
+  const Problem line = f12_line(256);   // 5480 instances
+  const Problem tree = f12_tree(1024);  // 1536 instances
+  const bool traced_before = obs::tracing_enabled();
+  for (const Problem* p : {&line, &tree}) {
+    const LayeredPlan plan = p == &tree
+                                 ? build_tree_layered_plan(*p,
+                                                           DecompKind::kIdeal)
+                                 : build_line_layered_plan(*p);
+    for (const bool lockstep : {false, true}) {
+      for (const bool luby : {false, true}) {
+        SolverConfig config;
+        config.lockstep = lockstep;
+        config.keep_stack = true;
+        config.keep_lhs = true;
+        config.count_messages = true;
+        LubyMis ref_oracle(*p, 3);
+        const SolveResult ref = reference::solve(
+            *p, plan, config, luby ? &ref_oracle : nullptr);
+        for (const int threads : {2, 4}) {
+          const std::string what =
+              std::string(p == &tree ? "tree" : "line") +
+              " lockstep=" + std::to_string(lockstep) +
+              " luby=" + std::to_string(luby) +
+              " threads=" + std::to_string(threads);
+          config.threads = threads;
+          LubyMis oracle(*p, 3);
+          obs::enable_tracing();
+          const SolveResult got =
+              solve_with_plan(*p, plan, config, luby ? &oracle : nullptr);
+          std::set<int> slab_tids;
+          for (const obs::SpanRecord& span : obs::collect_spans())
+            if (std::string(span.name) == "merge_slab")
+              slab_tids.insert(span.tid);
+          if (!traced_before) obs::disable_tracing();
+          obs::reset_trace();
+          expect_identical(ref, got, what);
+          EXPECT_GE(slab_tids.size(), 2u) << what;
+        }
+      }
+    }
+  }
+}
+
 
 TEST(EngineParity, NonUniformCapacitiesAndXiOverride) {
   TreeScenarioSpec spec;

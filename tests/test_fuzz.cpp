@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 
 #include <queue>
+#include <sstream>
+#include <typeinfo>
 
 #include "common/rng.hpp"
 #include "decomp/layered.hpp"
@@ -19,6 +22,8 @@
 #include "dist/scheduler.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "framework/two_phase.hpp"
+#include "io/text_io.hpp"
+#include "model/line_problem.hpp"
 #include "online/event_stream.hpp"
 #include "online/journal.hpp"
 #include "online/online_scheduler.hpp"
@@ -276,15 +281,12 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
   // oracle: each step decides only the per-clique (draw, id) minima and
   // leaves everyone else undecided, so the unsatisfied frontier shrinks
   // by a trickle across many steps *mid-stage* — the adversarial regime
-  // for the frontier compaction, the flat component logs and the
-  // forest's satisfied-component filter (components drain at wildly
-  // different rates, so late steps see mostly-finished epochs).  The
-  // oracle's randomness is addressed per instance, so the central
-  // reference and the engine at threads 1 and 4 must still agree bit for
-  // bit.  The weak
-  // budget also starves steps constantly, so the adaptive budget retry
-  // fires throughout — mis_retries must agree across the paths too (the
-  // parallel merge takes the per-component max per step).
+  // for the frontier compaction (late steps see mostly-satisfied
+  // epochs).  The oracle's randomness is addressed per instance, so the
+  // central reference and the engine at threads 1 and 4 must still
+  // agree bit for bit.  The weak budget also starves steps constantly,
+  // so the adaptive budget retry fires throughout — mis_retries must
+  // agree across the paths too.
   std::int64_t total_retries = 0;
   for (int round = 0; round < 4; ++round) {
     const auto seed = 1100 + static_cast<std::uint64_t>(round);
@@ -766,6 +768,116 @@ TEST(Fuzz, SnapshotCodecRejectsTruncationAndBitFlips) {
     ASSERT_FALSE(decode_snapshot(flipped, out, &error)) << "byte " << byte;
     ASSERT_FALSE(error.empty()) << "byte " << byte;
   }
+}
+
+// Token mutations of a text file: a token replaced by an extreme or
+// malformed number, deleted or duplicated.  The layout around the
+// mutated token is kept.
+const char* const kTokenValues[] = {"-1",    "0",   "2147483647",
+                                    "1e300", "nan", "x7#"};
+
+std::vector<std::pair<std::size_t, std::size_t>> token_spans(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;  // (pos, len)
+  const auto space = [&](std::size_t k) {
+    return std::isspace(static_cast<unsigned char>(text[k])) != 0;
+  };
+  for (std::size_t k = 0; k < text.size();) {
+    if (space(k)) {
+      ++k;
+      continue;
+    }
+    std::size_t end = k;
+    while (end < text.size() && !space(end)) ++end;
+    spans.emplace_back(k, end - k);
+    k = end;
+  }
+  return spans;
+}
+
+std::string splice(const std::string& text,
+                   std::pair<std::size_t, std::size_t> span,
+                   const std::string& replacement) {
+  return text.substr(0, span.first) + replacement +
+         text.substr(span.first + span.second);
+}
+
+// Every mutated file must parse or be rejected as bad input
+// (std::invalid_argument); any other exception — std::bad_alloc,
+// std::length_error, ... — is a reader that trusted a count or a size it
+// should have checked.  Each token is replaced by every value in turn;
+// then seeded rounds apply one to three random mutations of any kind.
+template <typename Read>
+void expect_parse_or_invalid(const std::string& original, Rng& rng,
+                             Read read, const std::string& kind) {
+  std::vector<std::string> mutants;
+  const auto spans = token_spans(original);
+  for (const auto& span : spans)
+    for (const char* value : kTokenValues)
+      mutants.push_back(splice(original, span, value));
+  for (int round = 0; round < 200; ++round) {
+    std::string text = original;
+    const int edits = 1 + static_cast<int>(rng.next_below(3));
+    for (int k = 0; k < edits; ++k) {
+      const auto here = token_spans(text);
+      if (here.empty()) break;
+      const auto span = here[rng.next_below(here.size())];
+      const std::string token = text.substr(span.first, span.second);
+      switch (rng.next_below(3)) {
+        case 0:
+          text = splice(text, span,
+                        kTokenValues[rng.next_below(std::size(kTokenValues))]);
+          break;
+        case 1:
+          text = splice(text, span, "");
+          break;
+        default:
+          text = splice(text, span, token + " " + token);
+      }
+    }
+    mutants.push_back(std::move(text));
+  }
+  int rejected = 0;
+  for (const std::string& text : mutants) {
+    std::stringstream is(text);
+    try {
+      read(is);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << kind << ": " << typeid(e).name() << " (" << e.what()
+             << ") on\n" << text;
+    }
+  }
+  EXPECT_GT(rejected, 0) << kind;
+}
+
+TEST(Fuzz, TextReadersRejectMutatedTokensAsBadInput) {
+  Rng rng(419);
+  std::stringstream problem;
+  write_problem(problem, testutil::small_tree_problem(419, 8, 2, 4,
+                                                      HeightLaw::kBimodal));
+  expect_parse_or_invalid(
+      problem.str(), rng, [](std::istream& is) { read_problem(is); },
+      "problem");
+
+  LineProblem line(12, 2);
+  line.add_demand(0, 8, 3, 4.5);
+  line.set_access(line.add_demand(2, 9, 2, 2.0, 0.5), {1});
+  std::stringstream line_text;
+  write_line_problem(line_text, line);
+  // A line file that parses is also lowered, as the CLI's info and
+  // solve commands do.
+  expect_parse_or_invalid(
+      line_text.str(), rng,
+      [](std::istream& is) { read_line_problem(is).lower(); },
+      "line-problem");
+
+  std::stringstream solution;
+  write_solution(solution, Solution{{0, 3, 5, 11}});
+  expect_parse_or_invalid(
+      solution.str(), rng, [](std::istream& is) { read_solution(is); },
+      "solution");
 }
 
 TEST(Fuzz, ExactSolverOnDenseConflicts) {

@@ -108,6 +108,14 @@ TEST(TextIo, OversizedCountsAreRejectedBeforeAllocating) {
       "treesched-line 1\nslots 10 resources 2\ndemands 1\n"
       "0 5 2 3 1 4000000000000 0\nend\n");
   EXPECT_THROW(read_line_problem(line), std::invalid_argument);
+  // Headers whose lowering would overflow the int32 vertex or edge ids:
+  // rejected before the resource list or the networks are allocated.
+  for (const char* header : {"slots 10 resources 2000000000",
+                             "slots 2147483647 resources 1"}) {
+    std::stringstream huge(std::string("treesched-line 1\n") + header +
+                           "\ndemands 1\n0 5 2 3 1 1 0\nend\n");
+    EXPECT_THROW(read_line_problem(huge), std::invalid_argument) << header;
+  }
   std::stringstream solution("treesched-solution 1\n4000000000000\n1\n2\n");
   EXPECT_THROW(read_solution(solution), std::invalid_argument);
   std::stringstream demands(

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "decomp/layered.hpp"
 #include "dist/conflict_graph.hpp"
@@ -121,13 +122,14 @@ TEST(LubyMis, MatchesTheMessageLevelProtocol) {
   }
 }
 
-TEST(LubyMis, ClonesShareStreamsSoComponentRunsMatchTheWholeRun) {
-  // Running each conflict component of a plan group on its own clone —
-  // what the engine's parallel epochs do — consumes exactly the draws a
-  // whole-group run does: the union of the component winners is the
-  // whole run's selection, the rounds and retries are the slowest
-  // component's, and the streams stay in step across calls — under both
-  // schedules.
+TEST(LubyMis, PerInstanceStreamsMakeComponentRunsAddUpToTheWholeRun) {
+  // Draws are addressed by instance, so running each conflict component
+  // of a plan group on its own oracle built from the same seed consumes
+  // exactly the draws a whole-group run does: the union of the
+  // component winners is the whole run's selection, the rounds and
+  // retries are the slowest component's, and the streams stay in step
+  // across calls — under both schedules.  A run resumed on any subset of
+  // components relies on this.
   const Problem p = small_tree_problem(31, 48, 2, 24);
   const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
   ComponentForest forest;
@@ -146,14 +148,15 @@ TEST(LubyMis, ClonesShareStreamsSoComponentRunsMatchTheWholeRun) {
                         : LubyMis(p, 5);
       };
       LubyMis whole = make();
-      LubyMis parent = make();
+      std::vector<LubyMis> parts;
+      for (int c = 0; c < count; ++c) parts.push_back(make());
       for (int call = 0; call < 3; ++call) {
         const MisResult want = whole.run(members);
         MisResult merged;
         merged.rounds = 0;
         for (int c = 0; c < count; ++c) {
-          const std::unique_ptr<MisOracle> clone = parent.component_clone();
-          const MisResult part = clone->run(forest.component_ids(g, c));
+          const MisResult part = parts[static_cast<std::size_t>(c)].run(
+              forest.component_ids(g, c));
           merged.rounds = std::max(merged.rounds, part.rounds);
           merged.retries = std::max(merged.retries, part.retries);
           merged.selected.insert(merged.selected.end(),

@@ -33,8 +33,7 @@ class ClassifyTest(unittest.TestCase):
 
     def test_timing_is_informational(self):
         for field in ("wall_ms", "steps_per_sec", "profit", "speedup",
-                      "epoch_setup_ns", "forest_build_ns", "merge_ns",
-                      "setup_speedup"):
+                      "epoch_setup_ns", "merge_ns", "setup_speedup"):
             self.assertEqual(classify(field), "info", field)
 
     def test_obs_exports_are_informational_never_gating(self):
