@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -205,6 +206,20 @@ void OnlineScheduler::restore_class(ClassState& cls,
     check_input(sc.lhs.size() == sc.members.size() &&
                     sc.tags.size() == sc.rows.size(),
                 "snapshot: component cache shape mismatch");
+    // Rows as capture produces them: tags strictly increasing, each row's
+    // ids strictly ascending members of this component.  assemble()
+    // indexes the problem by these ids, so a forged one must stop here.
+    for (std::size_t r = 0; r < sc.rows.size(); ++r) {
+      const auto& row = sc.rows[r];
+      check_input(r == 0 || sc.tags[r - 1] < sc.tags[r],
+                  "snapshot: stack row tags out of order");
+      check_input(std::adjacent_find(row.begin(), row.end(),
+                                     std::greater_equal<>()) == row.end(),
+                  "snapshot: stack row ids not strictly ascending");
+      for (const InstanceId id : row)
+        check_input(std::binary_search(ids.begin(), ids.end(), id),
+                    "snapshot: stack row id is not a component member");
+    }
     CompCache cc;
     cc.members = sc.members;
     cc.rows = sc.rows;
@@ -368,8 +383,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   const Problem& problem = *problem_;
   const int n = problem.num_instances();
 
-  // The class's new active mask (live AND in-class) and its delta
-  // against the previous batch.
+  // The class's new active mask (live AND in-class).
   std::vector<char> mask(static_cast<std::size_t>(n), 0);
   for (InstanceId i = 0; i < n; ++i) {
     const DemandInstance& inst = problem.instance(i);
@@ -378,15 +392,6 @@ void OnlineScheduler::refresh_class(ClassState& cls,
                 records_[static_cast<std::size_t>(inst.demand)].alive
             ? 1
             : 0;
-  }
-  std::vector<InstanceId> added, removed;
-  const int old_n = static_cast<int>(cls.mask.size());
-  for (InstanceId i = 0; i < n; ++i) {
-    const bool now = mask[static_cast<std::size_t>(i)] != 0;
-    const bool before =
-        i < old_n && cls.mask[static_cast<std::size_t>(i)] != 0;
-    if (now && !before) added.push_back(i);
-    if (!now && before) removed.push_back(i);
   }
 
   // The class stage schedule every run (warm or cold) is pinned to.  A
@@ -398,10 +403,7 @@ void OnlineScheduler::refresh_class(ClassState& cls,
   const bool params_changed = !params_equal(params, cls.params);
   if (params_changed && cls.valid) report.params_changed = true;
 
-  if (cls.valid)
-    cls.forest.update(problem, forest_plan_, mask, added, removed);
-  else
-    cls.forest.build(problem, forest_plan_, mask);
+  cls.forest.build(problem, forest_plan_, mask);
 
   const bool force_all = !cls.valid || params_changed ||
                          config_.mode == OnlineSolveMode::kCold;

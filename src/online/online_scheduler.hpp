@@ -11,10 +11,9 @@
 //
 // Per height class (wide/kUnit, narrow/kNarrow — the Section 6 split)
 // the scheduler keeps:
-//  * a run-persistent ComponentForest over a single-group plan (the
-//    cross-group conflict components), revised per batch by
-//    ComponentForest::update — add/remove of member instances with the
-//    untouched groups' spans sliced straight across;
+//  * a ComponentForest over a single-group plan (the cross-group
+//    conflict components), rebuilt by ComponentForest::build from the
+//    class's active mask every batch;
 //  * a per-component cache: member ids, the component's raise-stack
 //    rows with their (group, stage, step) tags, the members' final
 //    DualShard LHS and the component's observed lambda.

@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "decomp/layered.hpp"
 #include "dist/luby_mis.hpp"
@@ -370,6 +373,155 @@ TEST(EngineParity, NonUniformCapacitiesAndXiOverride) {
   SolverConfig override_config;
   override_config.xi_override = 0.9;
   expect_parity(p, plan, override_config, "xi-override");
+}
+
+// --- component-rich inputs ------------------------------------------------
+// Many small conflict components per group, both tree decompositions,
+// the randomized oracle, an oracle that reports its winners out of id
+// order, and one engine object re-restricted between runs.
+
+// Field-by-field exact comparison of two engine runs.
+void expect_same_run(const SolveResult& a, const SolveResult& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.solution.selected, b.solution.selected) << what;
+  EXPECT_EQ(a.raise_stack, b.raise_stack) << what;
+  EXPECT_EQ(a.stats.epochs, b.stats.epochs) << what;
+  EXPECT_EQ(a.stats.stages, b.stats.stages) << what;
+  EXPECT_EQ(a.stats.steps, b.stats.steps) << what;
+  EXPECT_EQ(a.stats.raises, b.stats.raises) << what;
+  EXPECT_EQ(a.stats.mis_rounds, b.stats.mis_rounds) << what;
+  EXPECT_EQ(a.stats.comm_rounds, b.stats.comm_rounds) << what;
+  // Doubles with ==: bit-identical, not merely close.
+  EXPECT_EQ(a.stats.dual_objective, b.stats.dual_objective) << what;
+  EXPECT_EQ(a.stats.lambda_observed, b.stats.lambda_observed) << what;
+  EXPECT_EQ(a.stats.profit, b.stats.profit) << what;
+  EXPECT_EQ(a.stats.lockstep_ok, b.stats.lockstep_ok) << what;
+  EXPECT_EQ(a.stats.mis_ok, b.stats.mis_ok) << what;
+}
+
+TEST(EngineParity, ForestVsReferenceBitIdenticalGreedy) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Problem p = small_tree_problem(seed + 600, 36, 2, 20,
+                                         seed % 2 ? HeightLaw::kBimodal
+                                                  : HeightLaw::kUnit);
+    for (const DecompKind kind :
+         {DecompKind::kIdeal, DecompKind::kRootFixing}) {
+      const LayeredPlan plan = build_tree_layered_plan(p, kind);
+      for (const bool lockstep : {false, true}) {
+        SolverConfig config;
+        config.keep_stack = true;
+        config.lockstep = lockstep;
+        config.rule = p.unit_height() ? RaiseRuleKind::kUnit
+                                      : RaiseRuleKind::kNarrow;
+        const SolveResult ref = reference::solve(p, plan, config);
+        for (const int threads : {1, 4}) {
+          config.threads = threads;
+          const SolveResult got = solve_with_plan(p, plan, config);
+          expect_same_run(ref, got,
+                          "greedy seed=" + std::to_string(seed) + " " +
+                              to_string(kind) +
+                              " lockstep=" + std::to_string(lockstep) +
+                              " threads=" + std::to_string(threads));
+          require_feasible(p, got.solution);
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineParity, ForestVsReferenceBitIdenticalLuby) {
+  // LubyMis draws from per-instance streams, so the randomized runs at
+  // threads 1 and 4 both coincide exactly with one reference run.
+  const Problem p = small_tree_problem(777, 40, 2, 24);
+  for (const DecompKind kind :
+       {DecompKind::kIdeal, DecompKind::kRootFixing}) {
+    const LayeredPlan plan = build_tree_layered_plan(p, kind);
+    for (const bool lockstep : {false, true}) {
+      SolverConfig config;
+      config.keep_stack = true;
+      config.lockstep = lockstep;
+      LubyMis ref_oracle(p, 9);
+      const SolveResult ref = reference::solve(p, plan, config, &ref_oracle);
+      EXPECT_TRUE(ref.stats.mis_ok);
+      for (const int threads : {1, 4}) {
+        config.threads = threads;
+        LubyMis oracle(p, 9);
+        const SolveResult got = solve_with_plan(p, plan, config, &oracle);
+        expect_same_run(ref, got,
+                        std::string("luby ") + to_string(kind) +
+                            " lockstep=" + std::to_string(lockstep) +
+                            " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+// GreedyMis with its winners reported in reverse: a deterministic
+// oracle whose decision order is never the ascending-id order.
+class ReversedGreedy : public MisOracle {
+ public:
+  explicit ReversedGreedy(const Problem& problem) : inner_(problem) {}
+  MisResult run(std::span<const InstanceId> candidates) override {
+    MisResult result = inner_.run(candidates);
+    std::reverse(result.selected.begin(), result.selected.end());
+    return result;
+  }
+
+ private:
+  GreedyMis inner_;
+};
+
+TEST(EngineParity, RowOrderIsRankOrderWhateverTheOracleReports) {
+  // A step's raises are logged in ascending id order whatever order the
+  // oracle reports its winners in, and the reference does the same.  So
+  // the reversed oracle's runs at threads 1 and 4 equal each other, the
+  // reference, and the plain GreedyMis run.
+  const Problem tree = small_tree_problem(779, 40, 2, 24);
+  const Problem line = small_line_problem(780, 24, 1, 14);
+  for (const Problem* p : {&tree, &line}) {
+    const LayeredPlan plan = p == &tree
+                                 ? build_tree_layered_plan(*p,
+                                                           DecompKind::kIdeal)
+                                 : build_line_layered_plan(*p);
+    SolverConfig config;
+    config.keep_stack = true;
+    ReversedGreedy ref_oracle(*p);
+    const SolveResult ref = reference::solve(*p, plan, config, &ref_oracle);
+    expect_same_run(reference::solve(*p, plan, config), ref,
+                    std::string(p == &tree ? "tree" : "line") + " greedy");
+    for (const int threads : {1, 4}) {
+      config.threads = threads;
+      ReversedGreedy oracle(*p);
+      expect_same_run(ref, solve_with_plan(*p, plan, config, &oracle),
+                      std::string(p == &tree ? "tree" : "line") +
+                          " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(EngineParity, ReusedEngineMatchesReferenceAcrossRestrictions) {
+  // One engine object, two different restrictions: nothing of the first
+  // active set may leak into the second run.  Each restricted run must
+  // match the reference over the same subset bit for bit.
+  const Problem p = small_tree_problem(888, 32, 2, 18,
+                                       HeightLaw::kBimodal);
+  const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+  const HeightClasses classes = classify_wide_narrow(p);
+  ASSERT_TRUE(classes.has_wide());
+  ASSERT_TRUE(classes.has_narrow());
+
+  SolverConfig config;
+  config.keep_stack = true;
+  config.threads = 4;
+  TwoPhaseEngine reused(p, plan, config);
+  for (const bool wide : {true, false}) {
+    const auto& ids = wide ? classes.wide_ids : classes.narrow_ids;
+    reused.restrict_to(ids);
+    const SolveResult got = reused.run();
+    const SolveResult want = reference::solve_restricted(p, plan, config, ids);
+    expect_same_run(want, got,
+                    std::string("restricted wide=") + std::to_string(wide));
+  }
 }
 
 }  // namespace

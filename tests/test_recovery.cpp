@@ -13,7 +13,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/framing.hpp"
@@ -339,6 +341,83 @@ TEST(Snapshot, RestoreAgainstWrongBaseThrows) {
   const Problem other = small_tree_problem(48, 10, 2, 4);
   EXPECT_THROW(OnlineScheduler(other, s.config, snap),
                std::invalid_argument);
+}
+
+// A snapshot's stack rows are installed into the caches that assemble()
+// indexes the problem with, so a row that capture could not have
+// produced must be rejected at restore — even when its bytes are
+// well-formed and the checksums were recomputed over the forgery.
+TEST(Snapshot, ForgedStackRowsAreRejectedAtRestore) {
+  // Local-pair arrivals on a path: several conflict components per class.
+  Scenario s{small_tree_problem(41, 64, 1, 1, HeightLaw::kUnit,
+                                TreeShape::kPath),
+             {}, {}};
+  DemandGenConfig demand_cfg;
+  demand_cfg.endpoints = EndpointLaw::kLocalPair;
+  demand_cfg.locality = 2;
+  OnlineTrafficSpec traffic;
+  traffic.rate = 6.0;
+  traffic.num_batches = 4;
+  traffic.seed = 13;
+  s.trace = make_event_trace(s.base, demand_cfg, traffic);
+  OnlineScheduler scheduler(s.base, s.config);
+  for (const EventBatch& batch : s.trace) scheduler.step(batch);
+  const SchedulerSnapshot snap = scheduler.capture();
+
+  // A class with a component of at least two rows (to swap tags) and a
+  // second component (to borrow a member from).
+  const ClassSnapshot* cls = nullptr;
+  std::size_t target = 0, other = 0;
+  for (const ClassSnapshot* c : {&snap.wide, &snap.narrow}) {
+    if (cls != nullptr || c->components.size() < 2) continue;
+    for (std::size_t k = 0; k < c->components.size(); ++k) {
+      if (c->components[k].rows.size() < 2) continue;
+      cls = c;
+      target = k;
+      other = k == 0 ? 1 : 0;
+      break;
+    }
+  }
+  ASSERT_NE(cls, nullptr) << "scenario has no component with two rows";
+  const bool wide = cls == &snap.wide;
+
+  const auto expect_rejected = [&](const std::string& what, auto&& forge) {
+    SchedulerSnapshot forged = snap;
+    ClassSnapshot& fc = wide ? forged.wide : forged.narrow;
+    forge(fc.components[target], fc.components[other]);
+    SchedulerSnapshot decoded;
+    std::string error;
+    ASSERT_TRUE(decode_snapshot(encode_snapshot(forged), decoded, &error))
+        << what << ": " << error;
+    EXPECT_THROW(OnlineScheduler(s.base, s.config, decoded),
+                 std::invalid_argument)
+        << what;
+  };
+  expect_rejected("out-of-range id",
+                  [](SnapshotComponent& c, const SnapshotComponent&) {
+                    c.rows.front().back() = 1000000;
+                  });
+  expect_rejected("negative id",
+                  [](SnapshotComponent& c, const SnapshotComponent&) {
+                    c.rows.front().front() = -1;
+                  });
+  expect_rejected("another component's member",
+                  [](SnapshotComponent& c, const SnapshotComponent& o) {
+                    c.rows.front() = {o.members.front()};
+                  });
+  expect_rejected("duplicated id",
+                  [](SnapshotComponent& c, const SnapshotComponent&) {
+                    c.rows.front().push_back(c.rows.front().back());
+                  });
+  expect_rejected("swapped tags",
+                  [](SnapshotComponent& c, const SnapshotComponent&) {
+                    std::swap(c.tags[0], c.tags[1]);
+                  });
+
+  // The unforged image still restores.
+  SchedulerSnapshot decoded;
+  ASSERT_TRUE(decode_snapshot(encode_snapshot(snap), decoded));
+  EXPECT_NO_THROW(OnlineScheduler(s.base, s.config, decoded));
 }
 
 // --- the crash matrix ------------------------------------------------------

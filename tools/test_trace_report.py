@@ -5,7 +5,9 @@ A synthetic two-thread trace pins the phase table's normalization: a
 phase that runs on the main thread and a worker at the same time has
 more self time than one thread's window, so its self% must be taken of
 the window's thread-time (window x threads), never of one thread's
-window.  Registered as the `test_trace_report` ctest.
+window.  A trace with two engine runs and spans outside them pins the
+window itself: first run start to last run end, outside spans dropped.
+Registered as the `test_trace_report` ctest.
 """
 
 import contextlib
@@ -90,6 +92,36 @@ class PhaseTableTest(unittest.TestCase):
                     if line.strip().startswith("engine/merge_slab"))
         self.assertTrue(slab.rstrip().endswith("60.0%"), slab)
         self.assertIn("self% of 2 thread(s) x window", report)
+
+    def test_window_spans_every_engine_run_and_drops_outside_spans(self):
+        # Two engine runs (a height-split solve, or two online batches)
+        # with work between them, plus spans before and after: the window
+        # runs from the first run's start to the last run's end, and only
+        # the spans inside it count.
+        events = [
+            span("online", "step", 0, 500, 0),        # straddles the window
+            span("forest", "build", 10, 30, 0),       # before the first run
+            span("engine", "run", 50, 100, 0),
+            span("engine", "epoch", 60, 80, 0),
+            span("forest", "build", 160, 30, 0),      # between the runs
+            span("engine", "run", 200, 100, 0),
+            span("engine", "epoch", 210, 80, 0),
+            span("online", "snapshot", 320, 150, 0),  # after the last run
+        ]
+        _, spans = trace_report.parse_events(events)
+        start, end, label = trace_report.analysis_window(spans)
+        self.assertEqual((start, end), (50.0, 300.0))
+        self.assertIn("2 engine/run spans", label)
+        trace_report.self_times(spans)
+        rows = dict(trace_report.phase_table(spans, (start, end)))
+        self.assertNotIn("online/snapshot", rows)
+        self.assertNotIn("online/step", rows)
+        self.assertEqual(rows["forest/build"]["count"], 1)
+        self.assertEqual(rows["engine/run"]["count"], 2)
+        for key, row in rows.items():
+            self.assertLessEqual(row["self_pct"], 100.0, key)
+        self.assertLessEqual(sum(r["self_pct"] for r in rows.values()),
+                             100.0)
 
 
 if __name__ == "__main__":

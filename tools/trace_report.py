@@ -19,9 +19,12 @@ CLI and the benches), and prints:
   * the registry metrics embedded in otherData (counters + histogram
     summaries), when present.
 
-The analysis window is the engine/run span when one exists (so process
-startup and JSON dumping do not dilute utilization), otherwise the full
-extent of the recorded spans.
+The analysis window runs from the first engine/run span's start to the
+last one's end when the trace has any (so process startup and JSON
+dumping do not dilute utilization; a height-split solve or an online
+run records several), otherwise it is the full extent of the recorded
+spans.  The phase table and the critical-path line count only spans
+lying wholly inside the window, so no share can pass 100%.
 
 Usage: tools/trace_report.py trace.json [--top N]
 """
@@ -102,14 +105,23 @@ def parse_events(events):
 
 
 def analysis_window(spans):
-    """(start, end, label): the longest engine/run span when present."""
+    """(start, end, label): first engine/run start to last engine/run end
+    when present, else the full extent of the spans."""
     run_spans = [s for s in spans
                  if s["cat"] == "engine" and s["name"] == "run"]
     if run_spans:
-        outer = max(run_spans, key=lambda s: s["dur"])
-        return outer["ts"], outer["ts"] + outer["dur"], "engine/run span"
+        label = ("engine/run span" if len(run_spans) == 1 else
+                 f"first to last of {len(run_spans)} engine/run spans")
+        return (min(s["ts"] for s in run_spans),
+                max(s["ts"] + s["dur"] for s in run_spans), label)
     return (min(s["ts"] for s in spans),
             max(s["ts"] + s["dur"] for s in spans), "full trace extent")
+
+
+def spans_inside(spans, window):
+    """The spans lying wholly inside the window."""
+    return [s for s in spans
+            if s["ts"] >= window[0] and s["ts"] + s["dur"] <= window[1]]
 
 
 def window_threads(spans, window):
@@ -121,14 +133,15 @@ def window_threads(spans, window):
 def phase_table(spans, window):
     """Per-phase rows ranked by self time, after self_times(spans).
 
-    Each row is (phase, {count, total, self, self_pct}); self_pct divides
-    by the window's thread-time, so a phase running on several threads
-    at once cannot pass 100% of a window that holds all its spans.
+    Only spans wholly inside the window count.  Each row is (phase,
+    {count, total, self, self_pct}); self_pct divides by the window's
+    thread-time, so a phase running on several threads at once cannot
+    pass 100%.
     """
     window_us = max(window[1] - window[0], 1e-9)
     capacity_us = window_us * max(len(window_threads(spans, window)), 1)
     agg = defaultdict(lambda: {"count": 0, "total": 0.0, "self": 0.0})
-    for s in spans:
+    for s in spans_inside(spans, window):
         key = f"{s['cat']}/{s['name']}"
         agg[key]["count"] += 1
         agg[key]["total"] += s["dur"]
@@ -152,7 +165,7 @@ def main():
               f"enabled (runtime gate) and compiled in?", file=sys.stderr)
         return 1
 
-    # Analysis window: the engine/run umbrella when present.
+    # Analysis window: the span of the engine/run umbrellas when present.
     start, end, window_label = analysis_window(spans)
     window = (start, end)
     window_us = max(window[1] - window[0], 1e-9)
@@ -207,7 +220,7 @@ def main():
     # the serial wall clock.  The top self-time phase there is the phase a
     # perf effort should attack first.
     main_agg = defaultdict(float)
-    for s in spans:
+    for s in spans_inside(spans, window):
         if s["tid"] == 0:
             main_agg[f"{s['cat']}/{s['name']}"] += s["self_dur"]
     if main_agg:
