@@ -1,13 +1,15 @@
-// F12 — phase-1 engine throughput: the frontier/shard engine against the
+// F12 — phase-1 engine throughput: the frontier engine against the
 // central-DualState reference engine (the pre-incremental implementation,
 // kept in the test-support library as reference::solve), at growing
 // instance counts on line and tree workloads.
 //
 // The reference engine pays O(|members| * path_len) per step — every step
 // rescans the whole group and recomputes each dual LHS from scratch.  The
-// incremental engine pays O(1) per satisfaction test (cached LHS over
-// per-instance DualShards) plus work proportional to the instances whose
-// paths intersect the raised edges.  The regimes differ:
+// frontier engine keeps the same per-variable duals (one alpha per demand,
+// one beta per edge) and pays O(1) per satisfaction test (a cached LHS)
+// plus, per raise, a stale mark for every instance whose path crosses a
+// raised edge; a stale LHS is recomputed by one walk over its path.  The
+// regimes differ:
 //
 //  - lockstep (the paper's Section 5 distributed schedule): every stage
 //    runs the fixed Lemma 5.1 budget of steps, most of which touch few or
@@ -16,17 +18,12 @@
 //    target (>= 5x at the largest size) applies here.
 //  - adaptive (the idealized schedule with global emptiness tests):
 //    stages end the moment U is empty, so most stages run ~1 step and
-//    every instance is touched anyway; the two engines are near parity,
-//    with the incremental engine paying its propagation constant.
+//    there are few rescans to eliminate; the gap is smaller, and what is
+//    left comes from recomputing only the LHSs a raise made stale.
 //
-// The engine arms sweep threads in {1, 2, 4, 8}: every arm runs each
-// epoch's group inline on one thread, and the threads split only the
-// deferred out-of-group propagation at the end of each epoch; every arm
-// emits its epoch_setup_ns / merge_ns breakdown.
-//
-// All arms produce bit-identical output (tests/test_engine_parity,
-// tests/test_component_forest), so every row below differs only in wall
-// time, never in results.
+// Every row also emits its epoch_setup_ns breakdown.  Both engines
+// produce bit-identical output (tests/test_engine_parity), so the rows
+// differ only in wall time, never in results.
 #include <chrono>
 #include <string>
 
@@ -46,13 +43,9 @@ namespace {
 struct Arm {
   const char* name;
   bool central;  // the reference engine instead of TwoPhaseEngine
-  int threads;
 };
 
-constexpr Arm kArms[] = {
-    {"central", true, 1},  {"incr-t1", false, 1}, {"incr-t2", false, 2},
-    {"incr-t4", false, 4}, {"incr-t8", false, 8},
-};
+constexpr Arm kArms[] = {{"central", true}, {"incr", false}};
 
 struct Measurement {
   double wall_ms = 0.0;
@@ -60,7 +53,6 @@ struct Measurement {
   double steps_per_sec = 0.0;
   double profit = 0.0;
   double epoch_setup_ns = 0.0;
-  double merge_ns = 0.0;
 };
 
 Measurement run_engine(const Problem& p, const LayeredPlan& plan,
@@ -68,7 +60,6 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
   SolverConfig config;
   config.epsilon = 0.1;
   config.lockstep = lockstep;
-  config.threads = arm.threads;
   const auto start = std::chrono::steady_clock::now();
   const SolveResult run = arm.central ? reference::solve(p, plan, config)
                                       : solve_with_plan(p, plan, config);
@@ -86,7 +77,6 @@ Measurement run_engine(const Problem& p, const LayeredPlan& plan,
       m.wall_ms > 0.0 ? run.stats.steps * 1000.0 / m.wall_ms : 0.0;
   m.profit = checked_profit(p, run.solution);
   m.epoch_setup_ns = static_cast<double>(run.stats.epoch_setup_ns);
-  m.merge_ns = static_cast<double>(run.stats.merge_ns);
   return m;
 }
 
@@ -117,7 +107,7 @@ Problem tree_workload(int n) {
 
 int main(int argc, char** argv) {
   // --trace=PATH: after the measured sweep, one extra traced run of the
-  // largest lockstep line workload on the incr-t4 arm, dumped as a
+  // largest lockstep line workload on the incr arm, dumped as a
   // Chrome trace.  The trace run is *outside* every measurement, so the
   // emitted BENCH series and the speedup gate are unaffected.
   std::string trace_path;
@@ -127,11 +117,10 @@ int main(int argc, char** argv) {
   }
 
   print_claim("F12  phase-1 engine throughput (incremental vs central)",
-              "the frontier/shard engine eliminates the per-step "
+              "the frontier engine eliminates the per-step "
               "O(|members| * path_len) rescan; >= 5x wall-clock at the "
-              "largest size under the lockstep schedule, near parity "
-              "under the adaptive schedule; the threads sweep records "
-              "the setup/merge breakdown per arm");
+              "largest size under the lockstep schedule, a smaller gap "
+              "under the adaptive schedule");
 
   std::vector<JsonRecord> runs;
   double largest_speedup = 0.0;
@@ -141,7 +130,7 @@ int main(int argc, char** argv) {
                 (lockstep ? "lockstep schedule (Section 5, fixed budgets)"
                           : "adaptive schedule (idealized emptiness tests)"));
     table.set_header({"workload", "instances", "engine", "wall(ms)", "steps",
-                      "steps/sec", "speedup", "setup(ms)", "merge(ms)"});
+                      "steps/sec", "speedup", "setup(ms)"});
     for (const int workload : {0, 1}) {  // 0 = line, 1 = tree
       const std::vector<int> sizes =
           workload == 0 ? std::vector<int>{256, 512, 1024, 2048}
@@ -161,29 +150,22 @@ int main(int argc, char** argv) {
                          std::to_string(p.num_instances()), arm.name,
                          fmt(m.wall_ms, 1), std::to_string(m.steps),
                          fmt(m.steps_per_sec, 0), fmt(speedup, 2),
-                         fmt(m.epoch_setup_ns * 1e-6, 2),
-                         fmt(m.merge_ns * 1e-6, 2)});
-          // "forest" stays a join key of the committed series; it is 1
-          // on every row since the engine stopped building a forest.
+                         fmt(m.epoch_setup_ns * 1e-6, 2)});
           runs.push_back(
               {{"workload", static_cast<double>(workload)},
                {"n", static_cast<double>(n)},
                {"instances", static_cast<double>(p.num_instances())},
                {"lockstep", lockstep ? 1.0 : 0.0},
                {"engine", arm.central ? 0.0 : 1.0},
-               {"threads", static_cast<double>(arm.threads)},
-               {"forest", 1.0},
                {"steps", static_cast<double>(m.steps)},
                {"wall_ms", m.wall_ms},
                {"steps_per_sec", m.steps_per_sec},
                {"profit", m.profit},
                {"speedup", speedup},
-               {"epoch_setup_ns", m.epoch_setup_ns},
-               {"merge_ns", m.merge_ns}});
-          // The acceptance gate: incremental (threads=1) at the largest
-          // line size under the distributed schedule.
-          if (lockstep && workload == 0 && n == sizes.back() &&
-              !arm.central && arm.threads == 1)
+               {"epoch_setup_ns", m.epoch_setup_ns}});
+          // The acceptance gate: the frontier engine at the largest line
+          // size under the distributed schedule.
+          if (lockstep && workload == 0 && n == sizes.back() && !arm.central)
             largest_speedup = speedup;
         }
       }
@@ -192,29 +174,23 @@ int main(int argc, char** argv) {
   }
   emit_json("f12_engine_throughput", runs);
 
-  std::printf("\nlargest-size lockstep speedup (line, incr-t1 vs central): "
+  std::printf("\nlargest-size lockstep speedup (line, incr vs central): "
               "%.2fx %s\n",
               largest_speedup, largest_speedup >= 5.0 ? "(>= 5x: PASS)"
                                                       : "(< 5x: REGRESSION)");
   std::printf("expected shape: lockstep speedup grows with instance count "
               "(the eliminated rescan is steps * |members| * path_len); "
-              "adaptive stays near 1x because nearly every stage touches "
-              "every member once anyway.  The threads sweep is "
-              "determinism-preserving parallelism: the deferred merge "
-              "splits the out-of-group propagation by target id, and "
-              "only epochs whose raises reach many instances use it.\n");
+              "adaptive stays well below it because most stages run a "
+              "single step, which leaves few rescans to eliminate.\n");
   if (!trace_path.empty()) {
     const Problem p = line_workload(2048);
     const LayeredPlan plan = build_line_layered_plan(p);
-    const Arm* traced_arm = nullptr;
-    for (const Arm& arm : kArms)
-      if (std::string(arm.name) == "incr-t4") traced_arm = &arm;
     obs::enable_tracing();
-    run_engine(p, plan, *traced_arm, /*lockstep=*/true);
+    run_engine(p, plan, kArms[1], /*lockstep=*/true);
     obs::disable_tracing();
     if (obs::write_chrome_trace(trace_path))
       std::printf("trace written to %s (largest lockstep line workload, "
-                  "incr-t4; summarize with tools/trace_report.py)\n",
+                  "incr; summarize with tools/trace_report.py)\n",
                   trace_path.c_str());
     else
       std::fprintf(stderr, "could not write trace to %s (tracing compiled "
@@ -224,7 +200,7 @@ int main(int argc, char** argv) {
 
   // The speedup gate is enforced, not just printed: a nonzero exit fails
   // the CI perf step.  It is a ratio of two runs on the same machine, so
-  // host speed cancels out, and the measured ~12-15x leaves 2-3x headroom
+  // host speed cancels out, and the measured ~150x leaves a wide margin
   // over the 5x bar before shared-runner variance could trip it.
   return largest_speedup >= 5.0 ? 0 : 1;
 }

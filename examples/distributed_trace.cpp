@@ -6,8 +6,9 @@
 //
 //   $ ./distributed_trace
 #include <cstdio>
+#include <vector>
 
-#include "dist/conflict_graph.hpp"
+#include "dist/discovery.hpp"
 #include "dist/luby_mis.hpp"
 #include "dist/protocol_scheduler.hpp"
 #include "model/solution.hpp"
@@ -42,11 +43,34 @@ int main() {
               static_cast<long long>(protocol.rounds),
               static_cast<long long>(protocol.messages),
               static_cast<long long>(protocol.bytes));
-  // The explicit graph appears only here, as the validity oracle.
-  const ConflictGraph graph(problem, {all.data(), all.size()});
-  std::printf("valid maximal independent set: %s\n",
-              graph.is_maximal_independent_set(protocol.selected) ? "yes"
-                                                                  : "no");
+
+  // The neighborhoods the rendezvous discovers, on a runtime of their
+  // own: each member learns exactly the instances it conflicts with.
+  const RendezvousLayout layout = RendezvousLayout::for_problem(
+      problem, static_cast<int>(all.size()));
+  Runtime rt(layout.total);
+  const DiscoveredNeighborhoods hood =
+      discover_conflicts(problem, {all.data(), all.size()}, rt);
+  std::printf("discovered conflict graph: %lld edges, max degree %d\n",
+              static_cast<long long>(hood.num_edges()), hood.max_degree());
+  for (int v = 0; v < 4 && v < static_cast<int>(all.size()); ++v) {
+    std::printf("  instance %d conflicts with:", v);
+    for (int u : hood.neighbors[static_cast<std::size_t>(v)])
+      std::printf(" %d", u);
+    std::printf("\n");
+  }
+  // Validity from the discovered neighborhoods alone: no two winners
+  // adjacent, and every other member has a winning neighbor.
+  std::vector<char> won(all.size(), 0);
+  for (int v : protocol.selected) won[static_cast<std::size_t>(v)] = 1;
+  bool valid = true;
+  for (std::size_t v = 0; v < all.size(); ++v) {
+    bool winning_neighbor = false;
+    for (int u : hood.neighbors[v])
+      winning_neighbor = winning_neighbor || won[static_cast<std::size_t>(u)];
+    if (won[v] ? winning_neighbor : !winning_neighbor) valid = false;
+  }
+  std::printf("valid maximal independent set: %s\n", valid ? "yes" : "no");
 
   // The production oracle (implicit cliques) on the same candidates.
   LubyMis oracle(problem, 42);

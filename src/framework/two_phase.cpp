@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -76,7 +75,6 @@ void SolveStats::merge(const SolveStats& other) {
   mis_failed_steps += other.mis_failed_steps;
   mis_retries += other.mis_retries;
   epoch_setup_ns += other.epoch_setup_ns;
-  merge_ns += other.merge_ns;
 }
 
 namespace {
@@ -110,7 +108,6 @@ TwoPhaseEngine::TwoPhaseEngine(const Problem& problem, const LayeredPlan& plan,
     default_oracle_ = std::make_unique<GreedyMis>(problem);
     oracle_ = default_oracle_.get();
   }
-  build_edge_positions();
 }
 
 void TwoPhaseEngine::restrict_to(std::vector<InstanceId> active) {
@@ -232,81 +229,50 @@ SolveResult TwoPhaseEngine::run_warm(const StageParams& pinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 1: per-instance DualShard stores + cached LHS + the per-stage
-// unsatisfied frontier.  Raises propagate through the CSR edge->instances
-// index to exactly the instances whose constraints read a raised
-// variable; everyone else's cached LHS stays valid.  All arithmetic (the
-// ordered beta walk, the objective accumulation order) deliberately
-// replays the central reference's operation order (one DualState, full
-// rescans), so the two agree bit for bit — tests/test_engine_parity.cpp
-// compares with ==.
+// Phase 1: per-variable duals (one alpha per demand, one beta per global
+// edge) + cached LHS + the per-stage unsatisfied frontier.  A raise marks
+// stale, through the CSR edge->instances index, exactly the instances whose
+// constraints read a raised variable; everyone else's cached LHS stays
+// valid.  All arithmetic (the ordered beta walk, the objective accumulation
+// order) deliberately replays the central reference's operation order (one
+// DualState, full rescans), so the two agree bit for bit —
+// tests/test_engine_parity.cpp compares with ==.
 
-void TwoPhaseEngine::build_edge_positions() {
-  // Per-(edge, instance) path positions, aligned entry-for-entry with the
-  // Problem's CSR buckets: propagation applies an increment with a single
-  // indexed store instead of a per-target binary search.  Depends only on
-  // the Problem, so it is built once at construction, not per run.
-  const InstanceId n = problem_->num_instances();
-  const EdgeId num_edges = problem_->num_global_edges();
-  edge_pos_offset_.assign(static_cast<std::size_t>(num_edges) + 1, 0);
-  for (EdgeId e = 0; e < num_edges; ++e)
-    edge_pos_offset_[static_cast<std::size_t>(e) + 1] =
-        edge_pos_offset_[static_cast<std::size_t>(e)] +
-        static_cast<std::int64_t>(problem_->instances_on_edge(e).size());
-  edge_pos_.resize(static_cast<std::size_t>(edge_pos_offset_.back()));
-  std::vector<std::int64_t> cursor(edge_pos_offset_.begin(),
-                                   edge_pos_offset_.end() - 1);
-  for (InstanceId i = 0; i < n; ++i) {
-    const auto& edges = problem_->instance(i).edges;
-    for (std::size_t idx = 0; idx < edges.size(); ++idx) {
-      const auto e = static_cast<std::size_t>(edges[idx]);
-      edge_pos_[static_cast<std::size_t>(cursor[e]++)] =
-          static_cast<int>(idx);
-    }
-  }
+void TwoPhaseEngine::reset_duals() {
+  const auto n = static_cast<std::size_t>(problem_->num_instances());
+  alpha_.assign(static_cast<std::size_t>(problem_->num_demands()), 0.0);
+  beta_.assign(static_cast<std::size_t>(problem_->num_global_edges()), 0.0);
+  lhs_cache_.assign(n, 0.0);
+  lhs_fresh_.assign(n, 1);  // all-zero duals
 }
 
-void TwoPhaseEngine::build_local_stores() {
-  const InstanceId n = problem_->num_instances();
-  shards_.clear();
-  shards_.reserve(static_cast<std::size_t>(n));
-  for (InstanceId i = 0; i < n; ++i) {
+double TwoPhaseEngine::lhs_local(InstanceId i, double beta_coeff) {
+  const auto k = static_cast<std::size_t>(i);
+  if (!lhs_fresh_[k]) {
     const DemandInstance& inst = problem_->instance(i);
-    shards_.emplace_back(inst.demand,
-                         std::span<const EdgeId>{inst.edges.data(),
-                                                 inst.edges.size()});
+    double s = 0.0;
+    for (EdgeId e : inst.edges) s += beta_[static_cast<std::size_t>(e)];
+    lhs_cache_[k] = alpha_[static_cast<std::size_t>(inst.demand)] +
+                    beta_coeff * s;
+    lhs_fresh_[k] = 1;
   }
-  lhs_cache_.assign(static_cast<std::size_t>(n), 0.0);
-  lhs_fresh_.assign(static_cast<std::size_t>(n), 1);  // all-zero duals
+  return lhs_cache_[k];
 }
 
-void TwoPhaseEngine::propagate_in_group(InstanceId i, double delta,
-                                        std::span<const double> increments,
-                                        int group) {
+void TwoPhaseEngine::apply_raise(InstanceId i, double delta,
+                                 std::span<const double> increments) {
   const DemandInstance& inst = problem_->instance(i);
-  const auto in_scope = [&](InstanceId k) {
-    return is_active(k) && plan_->group[static_cast<std::size_t>(k)] == group;
-  };
   if (config_.raise_alpha) {
-    for (InstanceId k : problem_->instances_of_demand(inst.demand)) {
-      if (!in_scope(k)) continue;
-      shards_[static_cast<std::size_t>(k)].raise_alpha(delta);
+    alpha_[static_cast<std::size_t>(inst.demand)] += delta;
+    for (InstanceId k : problem_->instances_of_demand(inst.demand))
       lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-    }
   }
   const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
   for (std::size_t c = 0; c < critical.size(); ++c) {
     const EdgeId e = critical[c];
-    const auto bucket = problem_->instances_on_edge(e);
-    const int* pos =
-        edge_pos_.data() + edge_pos_offset_[static_cast<std::size_t>(e)];
-    for (std::size_t b = 0; b < bucket.size(); ++b) {
-      const InstanceId k = bucket[b];
-      if (!in_scope(k)) continue;
-      shards_[static_cast<std::size_t>(k)].raise_beta_at(pos[b],
-                                                         increments[c]);
+    beta_[static_cast<std::size_t>(e)] += increments[c];
+    for (InstanceId k : problem_->instances_on_edge(e))
       lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-    }
   }
 }
 
@@ -347,7 +313,7 @@ void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
   SolveStats& stats = result.stats;
   const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
                        config_.capacity_aware_raises);
-  build_local_stores();
+  reset_duals();
   double objective = 0.0;
 
   std::vector<std::vector<InstanceId>> stack;
@@ -363,19 +329,11 @@ void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
     if (members.empty()) continue;
     ++stats.epochs;
     TRACE_SPAN1("engine", "epoch", "group", g);
-    const std::int64_t fanout = run_epoch(members, rule, sched, g, objective,
-                                          stats, stack, raised_order);
-    const auto merge_start = std::chrono::steady_clock::now();
-    {
-      TRACE_SPAN1("engine", "merge", "group", g);
-      merge_deferred(g, fanout);
-    }
-    stats.merge_ns += elapsed_ns(merge_start);
+    run_epoch(members, rule, sched, g, objective, stats, stack, raised_order);
   }
 
-  // Certification from the local stores alone: every instance reports its
-  // own satisfaction level (the same operation sequence as
-  // observed_lambda over a central DualState).
+  // Certification: every instance reports its own satisfaction level (the
+  // same operation sequence as observed_lambda over a central DualState).
   stats.dual_objective = objective;
   double lambda = 1.0;
   bool any = false;
@@ -400,28 +358,17 @@ void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
 }
 
 // ---------------------------------------------------------------------------
-// One epoch: the group's stages run inline on the caller's oracle.
-//
-// Within one group, a raise of member i touches beta only on critical
-// edges of path(i) and alpha of i's demand.  The group's own shards are
-// updated at once, because the next step's frontier test reads them;
-// raises reaching *other* groups are only logged, and merge_deferred
-// applies them after the epoch — nothing reads an out-of-group LHS
-// before the next epoch.  Each target shard then receives its
-// increments in (step, id) order, exactly the chronological order the
-// reference applies them in, which keeps the engine bit-identical to it.
+// One epoch: the group's stages run inline on the caller's oracle.  Each
+// per-variable dual receives its increments in (step, id) order, exactly
+// the chronological order the reference applies them in, which keeps the
+// engine bit-identical to it.
 
-std::int64_t TwoPhaseEngine::run_epoch(
+void TwoPhaseEngine::run_epoch(
     const std::vector<InstanceId>& members, const RaiseRule& rule,
     const StageSchedule& sched, int group, double& objective,
     SolveStats& stats, std::vector<std::vector<InstanceId>>& stack,
     std::vector<InstanceId>& raised_order) {
   TRACE_SPAN2("engine", "solve", "size", members.size(), "group", group);
-  merge_log_ids_.clear();
-  merge_log_deltas_.clear();
-  merge_inc_begin_.assign(1, 0);
-  merge_inc_values_.clear();
-  std::int64_t fanout = 0;
   for (int j = 1; j <= sched.stages_per_epoch; ++j) {
     ++stats.stages;
     const double target = stage_target(sched, j);
@@ -482,7 +429,7 @@ std::int64_t TwoPhaseEngine::run_epoch(
         TS_DCHECK(slack > 0.0);
         const double delta =
             rule.tight_raise(inst, critical, slack, increments_);
-        propagate_in_group(i, delta, increments_, group);
+        apply_raise(i, delta, increments_);
         // The raise must satisfy i's constraint tightly (paper, 3.2).
         TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
                            inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
@@ -502,18 +449,6 @@ std::int64_t TwoPhaseEngine::run_epoch(
         const DemandInstance& inst = problem_->instance(i);
         const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
         rule.beta_increments(inst, critical, delta, increments_);
-        merge_log_ids_.push_back(i);
-        merge_log_deltas_.push_back(delta);
-        merge_inc_values_.insert(merge_inc_values_.end(), increments_.begin(),
-                                 increments_.end());
-        merge_inc_begin_.push_back(
-            static_cast<std::int64_t>(merge_inc_values_.size()));
-        for (const EdgeId e : critical)
-          fanout += static_cast<std::int64_t>(
-              problem_->instances_on_edge(e).size());
-        if (config_.raise_alpha)
-          fanout += static_cast<std::int64_t>(
-              problem_->instances_of_demand(inst.demand).size());
         bookkeep_raise(i, delta, increments_, objective, stats, raised_order);
         row.push_back(i);
       }
@@ -524,83 +459,6 @@ std::int64_t TwoPhaseEngine::run_epoch(
     }
     stats.max_steps_in_stage =
         std::max(stats.max_steps_in_stage, steps_this_stage);
-  }
-  return fanout;
-}
-
-void TwoPhaseEngine::merge_deferred(int group, std::int64_t fanout) {
-  if (merge_log_ids_.empty()) return;
-  const InstanceId n = problem_->num_instances();
-  // A small log is applied inline: below this many estimated bucket
-  // applications, thread create/join would cost more than the work.
-  // Any deterministic threshold is parity-safe — one worker and many
-  // produce the identical state.
-  constexpr std::int64_t kParallelFanoutFloor = 4096;
-  int workers = 1;
-  if (config_.threads > 1 && fanout >= kParallelFanoutFloor) {
-    // Read once: the query costs a few microseconds per call.
-    static const int hw =
-        static_cast<int>(std::thread::hardware_concurrency());
-    workers = std::min({config_.threads, static_cast<int>(n),
-                        hw > 0 ? hw : config_.threads});
-  }
-  if (workers <= 1) {
-    apply_deferred_raises(group, 0, n);
-    return;
-  }
-  const auto range_begin = [&](int w) {
-    return static_cast<InstanceId>(static_cast<std::int64_t>(n) * w / workers);
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w)
-    pool.emplace_back([this, group, &range_begin, w] {
-      apply_deferred_raises(group, range_begin(w), range_begin(w + 1));
-    });
-  apply_deferred_raises(group, range_begin(0), range_begin(1));
-  for (std::thread& t : pool) t.join();
-}
-
-void TwoPhaseEngine::apply_deferred_raises(int group, InstanceId lo,
-                                           InstanceId hi) {
-  TRACE_SPAN2("engine", "merge_slab", "lo", lo, "hi", hi);
-  const auto in_scope = [&](InstanceId k) {
-    return is_active(k) &&
-           plan_->group[static_cast<std::size_t>(k)] != group;
-  };
-  const std::size_t raises = merge_log_ids_.size();
-  for (std::size_t r = 0; r < raises; ++r) {
-    const InstanceId i = merge_log_ids_[r];
-    const DemandInstance& inst = problem_->instance(i);
-    const double delta = merge_log_deltas_[r];
-    const double* inc =
-        merge_inc_values_.data() + merge_inc_begin_[r];
-    if (config_.raise_alpha) {
-      const auto& sibs = problem_->instances_of_demand(inst.demand);
-      for (auto it = std::lower_bound(sibs.begin(), sibs.end(), lo);
-           it != sibs.end() && *it < hi; ++it) {
-        if (!in_scope(*it)) continue;
-        shards_[static_cast<std::size_t>(*it)].raise_alpha(delta);
-        lhs_fresh_[static_cast<std::size_t>(*it)] = 0;
-      }
-    }
-    const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-    for (std::size_t c = 0; c < critical.size(); ++c) {
-      const EdgeId e = critical[c];
-      const auto bucket = problem_->instances_on_edge(e);
-      const InstanceId* base = bucket.data();
-      const int* pos =
-          edge_pos_.data() + edge_pos_offset_[static_cast<std::size_t>(e)];
-      const InstanceId* s = std::lower_bound(base, base + bucket.size(), lo);
-      const InstanceId* t = std::lower_bound(s, base + bucket.size(), hi);
-      for (const InstanceId* p = s; p < t; ++p) {
-        const InstanceId k = *p;
-        if (!in_scope(k)) continue;
-        shards_[static_cast<std::size_t>(k)].raise_beta_at(
-            pos[p - base], inc[c]);
-        lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-      }
-    }
   }
 }
 

@@ -21,19 +21,18 @@
 // algorithms; dist/ supplies the round-counting Luby oracle for the
 // distributed ones.
 //
-// Phase 1 has one execution path.  The dual state lives in per-instance
-// DualShard stores — the same per-processor sharding the message-level
-// protocol uses — with a cached LHS per instance, invalidated through
-// the Problem's CSR edge->instances index for exactly the instances
-// whose paths intersect a raised edge, and a per-stage *unsatisfied
-// frontier* that shrinks monotonically (raises never decrease an LHS
-// within a stage), so a step tests only the previous frontier instead
-// of rescanning the group.  Every epoch runs its whole group inline on
-// the caller's oracle, as one synchronous MIS-and-raise computation
-// (paper, Section 5).  A raise updates its own group's shards at once;
-// its effect on the other groups' shards is deferred to the end of the
-// epoch, where it is applied partitioned by target instance id —
-// SolverConfig::threads workers, the same output at any worker count.
+// Phase 1 has one execution path.  The dual state is the paper's: one
+// alpha per demand and one beta per global edge (Sections 3.1 and 6.1),
+// as in DualState, with a cached LHS per instance.  A raise writes its
+// O(|critical edges|) values and marks stale, through the Problem's CSR
+// edge->instances index, exactly the instances whose constraints read a
+// raised variable; a stale LHS is recomputed by the ordered beta walk over
+// the instance's path when next read.  A per-stage *unsatisfied frontier*
+// shrinks monotonically (raises never decrease an LHS within a stage), so
+// a step tests only the previous frontier instead of rescanning the group.
+// Every epoch runs its whole group inline on the caller's oracle, as one
+// synchronous MIS-and-raise computation (paper, Section 5); the engine
+// starts no threads.
 //
 // The parity oracle is a central reference engine (one central
 // DualState, full member rescan every step) that lives in the test
@@ -47,7 +46,6 @@
 
 #include "common/prelude.hpp"
 #include "decomp/layered.hpp"
-#include "framework/dual_shard.hpp"
 #include "framework/raise_rule.hpp"
 #include "model/problem.hpp"
 #include "model/solution.hpp"
@@ -124,8 +122,8 @@ struct SolverConfig {
   // the online warm-start caches, which also get the per-row
   // (group, stage, step) tags — see SolveResult::stack_tags).
   bool keep_stack = false;
-  // Export every active instance's final LHS (the per-shard dual state
-  // the online scheduler caches per conflict component) in
+  // Export every active instance's final LHS (the dual state the online
+  // scheduler caches per conflict component) in
   // SolveResult::final_lhs.
   bool keep_lhs = false;
   // xi override for ablations; 0 = derive from the rule, Delta and h_min.
@@ -134,13 +132,8 @@ struct SolverConfig {
   bool check_interference = false;
   // Count per-raise notification messages (distributed accounting).
   bool count_messages = false;
-  // Worker threads for the deferred out-of-group propagation at the end
-  // of every epoch, split by target instance id.  Each shard receives
-  // its increments in chronological order, so every value yields the
-  // same output.  Spawns are capped at hardware_concurrency()
-  // (oversubscribing only adds scheduler overhead), and an epoch whose
-  // raises reach few instances applies them inline.  The MIS-and-raise
-  // steps always run on the caller's thread.
+  // Not read by the engine, which runs on the caller's thread only.  Kept
+  // because the benchmark runner still assigns it.
   int threads = 1;
 };
 
@@ -179,14 +172,10 @@ struct SolveStats {
   // Adaptive MIS budget retries (MisResult::retries summed over steps).
   std::int64_t mis_retries = 0;
 
-  // Wall-clock breakdown of phase 1.  Timing, not semantics: every
-  // field the parity suites compare with == is unaffected.
-  //   epoch_setup_ns   per-epoch gathering of the group's active members;
-  //   merge_ns         the deferred out-of-group propagation at the end
-  //                    of every epoch (partitioned across
-  //                    SolverConfig::threads workers).
+  // Wall-clock time of the per-epoch gathering of the group's active
+  // members.  Timing, not semantics: no field the parity suites compare
+  // with == depends on it.
   std::int64_t epoch_setup_ns = 0;
-  std::int64_t merge_ns = 0;
 
   // Merge for combined (wide + narrow) runs: counts add, bounds add,
   // lambda takes the min (0.0 = unset on either side), flags AND.
@@ -267,49 +256,31 @@ class TwoPhaseEngine {
   void finish(SolveResult& result,
               std::vector<std::vector<InstanceId>>& stack);
 
-  void build_edge_positions();  // problem-static, built at construction
-  void build_local_stores();    // per-run dual state reset
-  double lhs_local(InstanceId i, double beta_coeff) {
-    const auto k = static_cast<std::size_t>(i);
-    if (!lhs_fresh_[k]) {
-      lhs_cache_[k] = shards_[k].lhs_ordered(beta_coeff);
-      lhs_fresh_[k] = 1;
-    }
-    return lhs_cache_[k];
-  }
+  void reset_duals();  // per-run: zero duals, every cached LHS fresh
+  // Instance i's dual-constraint LHS, alpha(a_i) + beta_coeff * the beta
+  // sum over path(i) in path order (DualState::lhs's operation order),
+  // recomputed only when a raise has marked it stale.
+  double lhs_local(InstanceId i, double beta_coeff);
   bool unsatisfied_local(InstanceId i, const RaiseRule& rule, double target) {
     const DemandInstance& inst = problem_->instance(i);
     return lhs_local(i, rule.beta_coeff(inst)) <
            target * inst.profit - kEps * inst.profit;
   }
-  // Applies a raise of in-group member i to the shards of its group's
-  // active members; out-of-group shards are merge_deferred's job.
-  void propagate_in_group(InstanceId i, double delta,
-                          std::span<const double> increments, int group);
+  // Applies a raise of instance i to alpha and the critical-edge betas and
+  // marks stale the cached LHS of every instance that reads them.
+  void apply_raise(InstanceId i, double delta,
+                   std::span<const double> increments);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
   // Runs one epoch's stages over the group's active `members` on the
-  // caller's oracle: MIS, in-group raises and their bookkeeping step by
-  // step, out-of-group raises logged for merge_deferred.  Returns the
-  // logged raises' fan-out: the summed sizes of the CSR buckets they
-  // reach.
-  std::int64_t run_epoch(const std::vector<InstanceId>& members,
-                         const RaiseRule& rule, const StageSchedule& sched,
-                         int group, double& objective, SolveStats& stats,
-                         std::vector<std::vector<InstanceId>>& stack,
-                         std::vector<InstanceId>& raised_order);
-  // Applies the epoch's logged raises to the shards outside its group,
-  // partitioned by target instance id across up to SolverConfig::threads
-  // workers (capped by hardware_concurrency: oversubscribing a CPU-bound
-  // pool only adds scheduler overhead); a small `fanout` runs inline.
-  void merge_deferred(int group, std::int64_t fanout);
-  // Applies the merge log to the out-of-group shards of instances in
-  // [lo, hi).  Each target shard receives its increments in
-  // chronological order, so partitioning [0, n) across workers
-  // reproduces the one-worker floating-point state bit for bit.
-  void apply_deferred_raises(int group, InstanceId lo, InstanceId hi);
+  // caller's oracle: MIS, raises and their bookkeeping step by step.
+  void run_epoch(const std::vector<InstanceId>& members,
+                 const RaiseRule& rule, const StageSchedule& sched, int group,
+                 double& objective, SolveStats& stats,
+                 std::vector<std::vector<InstanceId>>& stack,
+                 std::vector<InstanceId>& raised_order);
 
   void count_notifications(InstanceId i, SolveStats& stats);
 
@@ -328,25 +299,17 @@ class TwoPhaseEngine {
   // push when keep_stack is set and handed to the result by finish().
   std::vector<StackTag> stack_tags_;
 
-  // Dual state, rebuilt by every run(): per-instance dual shards, the
-  // cached-LHS layer over them, and the per-(edge, instance) path
-  // positions aligned with the Problem's CSR buckets.
-  std::vector<DualShard> shards_;
+  // Dual state, reset by every run(): one alpha per demand, one beta per
+  // global edge, and the cached-LHS layer over them.
+  std::vector<double> alpha_;
+  std::vector<double> beta_;
   std::vector<double> lhs_cache_;
   std::vector<char> lhs_fresh_;
-  std::vector<std::int64_t> edge_pos_offset_;
-  std::vector<int> edge_pos_;
 
-  // Epoch arenas, reused across epochs so the hot loop stops allocating:
-  // the step scratch, and the merge log — the epoch's raises in
-  // chronological order with their per-critical-edge increment slabs.
+  // Step scratch, reused across epochs so the hot loop stops allocating.
   std::vector<InstanceId> unsat_;
   std::vector<double> increments_;
   std::vector<std::pair<InstanceId, double>> winners_;  // (id, delta)
-  std::vector<InstanceId> merge_log_ids_;
-  std::vector<double> merge_log_deltas_;
-  std::vector<std::int64_t> merge_inc_begin_;
-  std::vector<double> merge_inc_values_;
 };
 
 // Wide/narrow classification of the arbitrary-height case (paper,

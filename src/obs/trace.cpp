@@ -28,10 +28,8 @@ std::int64_t steady_ns() {
       .count();
 }
 
-// One per recording thread, pooled: the engine starts fresh workers in
-// every epoch that splits its deferred propagation, so exiting threads
-// park their slot for the next worker instead of growing the slot list
-// without bound.
+// One per recording thread, pooled: exiting threads park their slot for
+// the next worker instead of growing the slot list without bound.
 struct ThreadSlot {
   std::vector<SpanRecord> ring;
   // Monotone count of records ever pushed by this slot; the owner

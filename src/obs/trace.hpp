@@ -12,12 +12,12 @@
 //    fills, the oldest spans are overwritten — flight-recorder
 //    semantics: the most recent window always survives, and the dump
 //    reports how much history was lost.
-//  * Worker threads are short-lived here (the engine starts its
-//    deferred-propagation workers afresh in every epoch that splits),
-//    so ring slots are pooled: a thread parks its slot on exit and the
-//    next worker reuses it.  Distinct tids therefore stay
-//    bounded by the maximum number of concurrent threads, which is also
-//    what makes per-worker timelines meaningful in the dump.
+//  * The library itself records from the caller's thread only, but a
+//    caller may trace from short-lived worker threads, so ring slots are
+//    pooled: a thread parks its slot on exit and the next worker reuses
+//    it.  Distinct tids therefore stay bounded by the maximum number of
+//    concurrent threads, which is also what makes per-worker timelines
+//    meaningful in the dump.
 //  * Dumps merge all rings deterministically (sorted by start time, then
 //    duration, then tid, then per-thread sequence) into Chrome-trace
 //    JSON (chrome://tracing, ui.perfetto.dev) or a flat JSON form that

@@ -16,7 +16,7 @@
 //    class's active mask every batch;
 //  * a per-component cache: member ids, the component's raise-stack
 //    rows with their (group, stage, step) tags, the members' final
-//    DualShard LHS and the component's observed lambda.
+//    dual LHS and the component's observed lambda.
 // A component whose member set is unchanged by the batch (and whose
 // class-wide stage parameters did not move) is *skipped*: its cached
 // rows, duals and lambda are exactly what a cold solve would recompute.
@@ -27,8 +27,8 @@
 // artifacts (stack rows merged by tag, ascending ids within a tag — the
 // chronological order of the cold run) and prunes; solve_cold() is the
 // from-scratch reference.  tests/test_online.cpp holds the two to exact
-// (==) equality on stack, tags, selected sets, lambda and per-shard LHS
-// after every batch, across threads {1, 4}.
+// (==) equality on stack, tags, selected sets, lambda and per-instance
+// LHS after every batch.
 #pragma once
 
 #include <cstdint>

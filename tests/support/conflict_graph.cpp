@@ -1,4 +1,4 @@
-#include "dist/conflict_graph.hpp"
+#include "support/conflict_graph.hpp"
 
 #include <algorithm>
 

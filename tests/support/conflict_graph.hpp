@@ -2,14 +2,15 @@
 // 2): vertices are the given instances; an edge joins two instances that
 // *conflict* — same demand, or overlapping paths on the same network.
 //
-// This is a TEST ORACLE.  No production path materializes the global
-// graph anymore: the two-phase engine's Luby oracle works on the
-// implicit edge/demand cliques (dist/luby_mis.hpp), and the
-// message-level protocols learn their neighborhoods through the
-// edge-owner rendezvous rounds of dist/discovery.hpp.  The explicit form
-// survives for the MIS validity checkers and the parity tests that pin
-// the rendezvous-discovered adjacency to the ground truth
-// (tests/test_discovery.cpp).  Vertices are dense 0-based indexes into
+// This is a TEST ORACLE, built into the test-support library beside the
+// central reference engine, never into the library itself.  No
+// production path materializes the global graph: the two-phase engine's
+// Luby oracle works on the implicit edge/demand cliques
+// (dist/luby_mis.hpp), and the message-level protocols learn their
+// neighborhoods through the edge-owner rendezvous rounds of
+// dist/discovery.hpp.  The explicit form serves the MIS validity checkers
+// and the parity tests that pin the rendezvous-discovered adjacency to
+// the ground truth (tests/test_discovery.cpp).  Vertices are dense 0-based indexes into
 // the candidate set, so they align with discovery's member indexes.
 #pragma once
 

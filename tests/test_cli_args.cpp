@@ -5,8 +5,8 @@
 //  * Args::num called std::stod unguarded — `--eps=abc` crashed with an
 //    uncaught std::invalid_argument, and `--eps=0.5x` silently dropped
 //    the trailing garbage;
-//  * a value flag given space-separated (`--threads 4`) recorded
-//    threads="1" and treated `4` as the input file;
+//  * a value flag given space-separated (`--seed 4`) recorded
+//    seed="1" and treated `4` as the input file;
 //  * parse_shape / parse_heights silently fell back to a default on
 //    unknown names (`--shape=binray` meant random).
 #include <gtest/gtest.h>
@@ -85,13 +85,13 @@ TEST(CliArgs, RejectsEmptyNumber) {
 // Satellite 2: space-separated value flags and stray positionals.
 TEST(CliArgs, RejectsSpaceSeparatedValueFlag) {
   expect_usage_error(
-      [] { parse_tokens({"solve", "f", "--threads", "4"}); },
-      "--threads=4");
+      [] { parse_tokens({"solve", "f", "--seed", "4"}); },
+      "--seed=4");
 }
 
 TEST(CliArgs, RejectsBareValueFlagAtEnd) {
-  expect_usage_error([] { parse_tokens({"solve", "f", "--threads"}); },
-                     "--threads=V");
+  expect_usage_error([] { parse_tokens({"solve", "f", "--seed"}); },
+                     "--seed=V");
 }
 
 TEST(CliArgs, RejectsUnexpectedPositional) {
@@ -103,6 +103,10 @@ TEST(CliArgs, RejectsUnexpectedPositional) {
 TEST(CliArgs, RejectsUnknownFlag) {
   expect_usage_error([] { parse_tokens({"solve", "f", "--bogus=1"}); },
                      "--bogus");
+  // The engine runs on the caller's thread; the flag that used to pick
+  // a worker count is gone rather than silently ignored.
+  expect_usage_error([] { parse_tokens({"solve", "f", "--threads=4"}); },
+                     "--threads");
 }
 
 TEST(CliArgs, RejectsValueOnBooleanFlag) {
@@ -162,7 +166,7 @@ TEST(CliArgs, OnlineFlagsRoundTrip) {
                                   "--arrivals=bursty", "--rate=12.5",
                                   "--batches=8", "--interval=0.5",
                                   "--lifetime=4", "--init-pop=32",
-                                  "--threads=4"});
+                                  "--seed=4"});
   EXPECT_EQ(args.get("algo", "auto"), "online");
   EXPECT_EQ(cli::parse_arrivals(args.get("arrivals", "poisson")),
             ArrivalLaw::kBursty);
@@ -171,7 +175,7 @@ TEST(CliArgs, OnlineFlagsRoundTrip) {
   EXPECT_DOUBLE_EQ(args.num("interval", 1.0), 0.5);
   EXPECT_DOUBLE_EQ(args.num("lifetime", 8.0), 4.0);
   EXPECT_DOUBLE_EQ(args.num("init-pop", 0), 32.0);
-  EXPECT_DOUBLE_EQ(args.num("threads", 1), 4.0);
+  EXPECT_DOUBLE_EQ(args.num("seed", 1), 4.0);
 }
 
 }  // namespace

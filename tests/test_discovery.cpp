@@ -11,12 +11,12 @@
 
 #include <cmath>
 
-#include "dist/conflict_graph.hpp"
 #include "dist/protocol_scheduler.hpp"
 #include "framework/dual_shard.hpp"
 #include "framework/dual_state.hpp"
 #include "framework/raise_rule.hpp"
 #include "framework/two_phase.hpp"
+#include "support/conflict_graph.hpp"
 #include "test_util.hpp"
 
 namespace treesched {

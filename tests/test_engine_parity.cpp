@@ -1,7 +1,6 @@
 // Engine-vs-reference parity (the oracle that keeps the engine honest):
-// the shard-backed frontier engine — at one worker thread and with its
-// deferred out-of-group propagation split across several — must
-// reproduce the central-DualState reference engine
+// the per-variable-dual frontier engine must reproduce the central-DualState
+// reference engine
 // (tests/support/central_reference.hpp) EXACTLY.  Selected set, raise
 // stack and its tags, final LHS, lambda_observed, dual_objective and
 // every count are compared with ==, no tolerances: the engine replays
@@ -14,9 +13,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "decomp/layered.hpp"
@@ -73,8 +70,8 @@ void expect_identical(const SolveResult& ref, const SolveResult& got,
   EXPECT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
 }
 
-// Runs the reference engine and the engine (threads = 1 and threads = 4)
-// on the same problem/plan/config and demands bitwise equality.
+// Runs the reference engine and the engine on the same problem/plan/config
+// and demands bitwise equality.
 void expect_parity(const Problem& p, const LayeredPlan& plan,
                    SolverConfig config, const std::string& what) {
   config.keep_stack = true;
@@ -82,17 +79,12 @@ void expect_parity(const Problem& p, const LayeredPlan& plan,
   config.count_messages = true;
 
   const SolveResult ref = reference::solve(p, plan, config);
-  for (const int threads : {1, 4}) {
-    SolverConfig engine = config;
-    engine.threads = threads;
-    const SolveResult got = solve_with_plan(p, plan, engine);
-    expect_identical(ref, got,
-                     what + " threads=" + std::to_string(threads));
-    require_feasible(p, got.solution);
-  }
+  const SolveResult got = solve_with_plan(p, plan, config);
+  expect_identical(ref, got, what);
+  require_feasible(p, got.solution);
 }
 
-TEST(EngineParity, TreeUnitAcrossLockstepAndThreads) {
+TEST(EngineParity, TreeUnitAcrossLockstep) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Problem p = small_tree_problem(seed, 40, 2, 24);
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
@@ -169,16 +161,12 @@ TEST(EngineParity, HeightSplitAndRestriction) {
     const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
     const SolveResult ref =
         reference::solve_height_split(p, plan, SolverConfig{});
-    for (const int threads : {1, 4}) {
-      SolverConfig engine;
-      engine.threads = threads;
-      const SolveResult got = solve_height_split(p, plan, engine);
-      EXPECT_EQ(ref.solution.selected, got.solution.selected);
-      EXPECT_EQ(ref.stats.steps, got.stats.steps);
-      EXPECT_EQ(ref.stats.dual_objective, got.stats.dual_objective);
-      EXPECT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed);
-      EXPECT_EQ(ref.stats.profit, got.stats.profit);
-    }
+    const SolveResult got = solve_height_split(p, plan, SolverConfig{});
+    EXPECT_EQ(ref.solution.selected, got.solution.selected);
+    EXPECT_EQ(ref.stats.steps, got.stats.steps);
+    EXPECT_EQ(ref.stats.dual_objective, got.stats.dual_objective);
+    EXPECT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed);
+    EXPECT_EQ(ref.stats.profit, got.stats.profit);
     // restrict_to: the subset runs must also coincide.
     std::vector<InstanceId> evens;
     for (InstanceId i = 0; i < p.num_instances(); i += 2) evens.push_back(i);
@@ -187,14 +175,9 @@ TEST(EngineParity, HeightSplitAndRestriction) {
     config.keep_lhs = true;
     const SolveResult restricted_ref =
         reference::solve_restricted(p, plan, config, evens);
-    for (const int threads : {1, 4}) {
-      config.threads = threads;
-      TwoPhaseEngine engine(p, plan, config);
-      engine.restrict_to(evens);
-      const SolveResult got = engine.run();
-      expect_identical(restricted_ref, got, "restricted threads=" +
-                                                std::to_string(threads));
-    }
+    TwoPhaseEngine engine(p, plan, config);
+    engine.restrict_to(evens);
+    expect_identical(restricted_ref, engine.run(), "restricted");
   }
 }
 
@@ -215,9 +198,8 @@ TEST(EngineParity, LubyOracleSerialIsBitIdenticalToCentral) {
   }
 }
 
-TEST(EngineParity, LubyMatchesCentralAtEveryThreadCount) {
-  // The thread count cannot change a single draw: at threads 1, 2 and 4
-  // the whole run equals the central reference driven by one LubyMis,
+TEST(EngineParity, LubyMatchesCentralOnTreesLinesAndSplit) {
+  // The whole run equals the central reference driven by one LubyMis,
   // bit for bit — on trees and lines, with the lockstep schedule on and
   // off, and through the Section 6 height split.  Two arms: unit heights
   // under the default config (the unit rule, eps 0.1), and bimodal
@@ -247,111 +229,24 @@ TEST(EngineParity, LubyMatchesCentralAtEveryThreadCount) {
           LubyMis ref_split_oracle(*p, seed);
           const SolveResult ref_split = reference::solve_height_split(
               *p, plan, config, &ref_split_oracle);
-          for (const int threads : {1, 2, 4}) {
-            SolverConfig engine = config;
-            engine.threads = threads;
-            const std::string what =
-                std::string(unit ? "unit " : "bimodal ") +
-                (p == &tree ? "tree" : "line") +
-                " seed=" + std::to_string(seed) +
-                " lockstep=" + std::to_string(lockstep) +
-                " threads=" + std::to_string(threads);
-            LubyMis oracle(*p, seed);
-            const SolveResult got = solve_with_plan(*p, plan, engine, &oracle);
-            expect_identical(ref, got, what);
-            require_feasible(*p, got.solution);
-            LubyMis split_oracle(*p, seed);
-            expect_identical(
-                ref_split, solve_height_split(*p, plan, engine, &split_oracle),
-                what + " split");
-          }
-        }
-      }
-    }
-  }
-}
-
-// The line and tree workloads of bench/bench_f12_engine_throughput.cpp.
-// At f12's smallest sizes (256 slots, 1024 vertices) their epochs
-// already reach enough out-of-group shard entries for the deferred
-// propagation to split across workers.
-Problem f12_line(int slots) {
-  LineScenarioSpec spec;
-  spec.line.num_slots = slots;
-  spec.line.num_resources = 2;
-  spec.line.num_demands = slots / 2;
-  spec.line.min_proc_time = 8;
-  spec.line.max_proc_time = slots / 8;
-  spec.line.window_slack = 2.0;
-  spec.line.profit_max = 1e4;
-  spec.seed = 42;
-  return make_line_problem(spec);
-}
-
-Problem f12_tree(int n) {
-  TreeScenarioSpec spec;
-  spec.num_vertices = n;
-  spec.num_networks = 2;
-  spec.demands.num_demands = 3 * n / 4;
-  spec.demands.profit_max = 1e4;
-  spec.seed = 42;
-  return make_tree_problem(spec);
-}
-
-TEST(EngineParity, DeferredPropagationPartitionMatchesReference) {
-  // The engine's one threaded step: an epoch's raises reach the other
-  // groups' shards through a propagation split by target id across
-  // workers.  On these inputs the split really runs — the merge_slab
-  // spans come from at least two threads — and every output still
-  // equals the one-thread central reference exactly.
-  if (std::thread::hardware_concurrency() < 2)
-    GTEST_SKIP() << "the propagation split needs two hardware threads";
-#ifdef TREESCHED_TRACING_DISABLED
-  GTEST_SKIP() << "tracing is compiled out; the split cannot be observed";
-#endif
-  const Problem line = f12_line(256);   // 5480 instances
-  const Problem tree = f12_tree(1024);  // 1536 instances
-  const bool traced_before = obs::tracing_enabled();
-  for (const Problem* p : {&line, &tree}) {
-    const LayeredPlan plan = p == &tree
-                                 ? build_tree_layered_plan(*p,
-                                                           DecompKind::kIdeal)
-                                 : build_line_layered_plan(*p);
-    for (const bool lockstep : {false, true}) {
-      for (const bool luby : {false, true}) {
-        SolverConfig config;
-        config.lockstep = lockstep;
-        config.keep_stack = true;
-        config.keep_lhs = true;
-        config.count_messages = true;
-        LubyMis ref_oracle(*p, 3);
-        const SolveResult ref = reference::solve(
-            *p, plan, config, luby ? &ref_oracle : nullptr);
-        for (const int threads : {2, 4}) {
           const std::string what =
-              std::string(p == &tree ? "tree" : "line") +
-              " lockstep=" + std::to_string(lockstep) +
-              " luby=" + std::to_string(luby) +
-              " threads=" + std::to_string(threads);
-          config.threads = threads;
-          LubyMis oracle(*p, 3);
-          obs::enable_tracing();
-          const SolveResult got =
-              solve_with_plan(*p, plan, config, luby ? &oracle : nullptr);
-          std::set<int> slab_tids;
-          for (const obs::SpanRecord& span : obs::collect_spans())
-            if (std::string(span.name) == "merge_slab")
-              slab_tids.insert(span.tid);
-          if (!traced_before) obs::disable_tracing();
-          obs::reset_trace();
+              std::string(unit ? "unit " : "bimodal ") +
+              (p == &tree ? "tree" : "line") +
+              " seed=" + std::to_string(seed) +
+              " lockstep=" + std::to_string(lockstep);
+          LubyMis oracle(*p, seed);
+          const SolveResult got = solve_with_plan(*p, plan, config, &oracle);
           expect_identical(ref, got, what);
-          EXPECT_GE(slab_tids.size(), 2u) << what;
+          require_feasible(*p, got.solution);
+          LubyMis split_oracle(*p, seed);
+          expect_identical(
+              ref_split, solve_height_split(*p, plan, config, &split_oracle),
+              what + " split");
         }
       }
     }
   }
 }
-
 
 TEST(EngineParity, NonUniformCapacitiesAndXiOverride) {
   TreeScenarioSpec spec;
@@ -414,24 +309,20 @@ TEST(EngineParity, ForestVsReferenceBitIdenticalGreedy) {
         config.rule = p.unit_height() ? RaiseRuleKind::kUnit
                                       : RaiseRuleKind::kNarrow;
         const SolveResult ref = reference::solve(p, plan, config);
-        for (const int threads : {1, 4}) {
-          config.threads = threads;
-          const SolveResult got = solve_with_plan(p, plan, config);
-          expect_same_run(ref, got,
-                          "greedy seed=" + std::to_string(seed) + " " +
-                              to_string(kind) +
-                              " lockstep=" + std::to_string(lockstep) +
-                              " threads=" + std::to_string(threads));
-          require_feasible(p, got.solution);
-        }
+        const SolveResult got = solve_with_plan(p, plan, config);
+        expect_same_run(ref, got,
+                        "greedy seed=" + std::to_string(seed) + " " +
+                            to_string(kind) +
+                            " lockstep=" + std::to_string(lockstep));
+        require_feasible(p, got.solution);
       }
     }
   }
 }
 
 TEST(EngineParity, ForestVsReferenceBitIdenticalLuby) {
-  // LubyMis draws from per-instance streams, so the randomized runs at
-  // threads 1 and 4 both coincide exactly with one reference run.
+  // LubyMis draws from per-instance streams, so the randomized run
+  // coincides exactly with the reference run.
   const Problem p = small_tree_problem(777, 40, 2, 24);
   for (const DecompKind kind :
        {DecompKind::kIdeal, DecompKind::kRootFixing}) {
@@ -443,15 +334,11 @@ TEST(EngineParity, ForestVsReferenceBitIdenticalLuby) {
       LubyMis ref_oracle(p, 9);
       const SolveResult ref = reference::solve(p, plan, config, &ref_oracle);
       EXPECT_TRUE(ref.stats.mis_ok);
-      for (const int threads : {1, 4}) {
-        config.threads = threads;
-        LubyMis oracle(p, 9);
-        const SolveResult got = solve_with_plan(p, plan, config, &oracle);
-        expect_same_run(ref, got,
-                        std::string("luby ") + to_string(kind) +
-                            " lockstep=" + std::to_string(lockstep) +
-                            " threads=" + std::to_string(threads));
-      }
+      LubyMis oracle(p, 9);
+      const SolveResult got = solve_with_plan(p, plan, config, &oracle);
+      expect_same_run(ref, got,
+                      std::string("luby ") + to_string(kind) +
+                          " lockstep=" + std::to_string(lockstep));
     }
   }
 }
@@ -474,8 +361,8 @@ class ReversedGreedy : public MisOracle {
 TEST(EngineParity, RowOrderIsRankOrderWhateverTheOracleReports) {
   // A step's raises are logged in ascending id order whatever order the
   // oracle reports its winners in, and the reference does the same.  So
-  // the reversed oracle's runs at threads 1 and 4 equal each other, the
-  // reference, and the plain GreedyMis run.
+  // the reversed oracle's run equals the reference and the plain
+  // GreedyMis run.
   const Problem tree = small_tree_problem(779, 40, 2, 24);
   const Problem line = small_line_problem(780, 24, 1, 14);
   for (const Problem* p : {&tree, &line}) {
@@ -489,13 +376,9 @@ TEST(EngineParity, RowOrderIsRankOrderWhateverTheOracleReports) {
     const SolveResult ref = reference::solve(*p, plan, config, &ref_oracle);
     expect_same_run(reference::solve(*p, plan, config), ref,
                     std::string(p == &tree ? "tree" : "line") + " greedy");
-    for (const int threads : {1, 4}) {
-      config.threads = threads;
-      ReversedGreedy oracle(*p);
-      expect_same_run(ref, solve_with_plan(*p, plan, config, &oracle),
-                      std::string(p == &tree ? "tree" : "line") +
-                          " threads=" + std::to_string(threads));
-    }
+    ReversedGreedy oracle(*p);
+    expect_same_run(ref, solve_with_plan(*p, plan, config, &oracle),
+                    std::string(p == &tree ? "tree" : "line"));
   }
 }
 
@@ -512,7 +395,6 @@ TEST(EngineParity, ReusedEngineMatchesReferenceAcrossRestrictions) {
 
   SolverConfig config;
   config.keep_stack = true;
-  config.threads = 4;
   TwoPhaseEngine reused(p, plan, config);
   for (const bool wide : {true, false}) {
     const auto& ids = wide ? classes.wide_ids : classes.narrow_ids;

@@ -283,8 +283,7 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
   // by a trickle across many steps *mid-stage* — the adversarial regime
   // for the frontier compaction (late steps see mostly-satisfied
   // epochs).  The oracle's randomness is addressed per instance, so the
-  // central reference and the engine at threads 1 and 4 must still
-  // agree bit for bit.  The weak budget also starves steps constantly,
+  // central reference and the engine must still agree bit for bit.  The weak budget also starves steps constantly,
   // so the adaptive budget retry fires throughout — mis_retries must
   // agree across the paths too.
   std::int64_t total_retries = 0;
@@ -305,26 +304,20 @@ TEST(Fuzz, AdversarialFrontierShrinkAgreesAcrossAllEnginePaths) {
         reference::solve(p, plan, config, &central_oracle);
     require_feasible(p, ref.solution);
     total_retries += ref.stats.mis_retries;
-    for (const int threads : {1, 4}) {
-      SolverConfig engine = config;
-      engine.threads = threads;
-      LubyMis oracle = LubyMis::budgeted(p, seed, /*luby_budget=*/1);
-      const SolveResult got = solve_with_plan(p, plan, engine, &oracle);
-      const std::string what = "round " + std::to_string(round) +
-                               " threads=" + std::to_string(threads);
-      ASSERT_EQ(ref.solution.selected, got.solution.selected) << what;
-      ASSERT_EQ(ref.raise_stack, got.raise_stack) << what;
-      ASSERT_EQ(ref.stats.steps, got.stats.steps) << what;
-      ASSERT_EQ(ref.stats.raises, got.stats.raises) << what;
-      // Doubles with ==: bit-identical, not merely close.
-      ASSERT_EQ(ref.stats.dual_objective, got.stats.dual_objective)
-          << what;
-      ASSERT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed)
-          << what;
-      ASSERT_EQ(ref.stats.lockstep_ok, got.stats.lockstep_ok) << what;
-      ASSERT_EQ(ref.stats.mis_ok, got.stats.mis_ok) << what;
-      ASSERT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
-    }
+    LubyMis oracle = LubyMis::budgeted(p, seed, /*luby_budget=*/1);
+    const SolveResult got = solve_with_plan(p, plan, config, &oracle);
+    const std::string what = "round " + std::to_string(round);
+    ASSERT_EQ(ref.solution.selected, got.solution.selected) << what;
+    ASSERT_EQ(ref.raise_stack, got.raise_stack) << what;
+    ASSERT_EQ(ref.stats.steps, got.stats.steps) << what;
+    ASSERT_EQ(ref.stats.raises, got.stats.raises) << what;
+    // Doubles with ==: bit-identical, not merely close.
+    ASSERT_EQ(ref.stats.dual_objective, got.stats.dual_objective) << what;
+    ASSERT_EQ(ref.stats.lambda_observed, got.stats.lambda_observed)
+        << what;
+    ASSERT_EQ(ref.stats.lockstep_ok, got.stats.lockstep_ok) << what;
+    ASSERT_EQ(ref.stats.mis_ok, got.stats.mis_ok) << what;
+    ASSERT_EQ(ref.stats.mis_retries, got.stats.mis_retries) << what;
   }
   // The budget-1 oracle must actually have exercised the retry path.
   EXPECT_GT(total_retries, 0);

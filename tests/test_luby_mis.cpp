@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "decomp/layered.hpp"
-#include "dist/conflict_graph.hpp"
 #include "framework/component_forest.hpp"
+#include "support/conflict_graph.hpp"
 #include "test_util.hpp"
 
 namespace treesched {

@@ -93,9 +93,9 @@ TEST(ObsTrace, SpansRecordNestingAndArgs) {
 TEST(ObsTrace, MultiThreadMergeIsDeterministicAndTidsAreStable) {
   TraceReset guard;
   obs::enable_tracing();
-  // Two generations of short-lived workers, as the engine's per-epoch
-  // pools create: slot pooling must keep the distinct-tid count bounded
-  // by the maximum number of concurrent threads, not total threads ever.
+  // Two generations of short-lived workers: slot pooling must keep the
+  // distinct-tid count bounded by the maximum number of concurrent
+  // threads, not total threads ever.
   for (int generation = 0; generation < 2; ++generation) {
     std::vector<std::thread> pool;
     for (int w = 0; w < 3; ++w)
@@ -287,7 +287,6 @@ TEST(ObsInvisibility, EngineRunIsBitIdenticalTracedAndUntraced) {
     config.lockstep = lockstep;
     config.keep_stack = true;
     config.count_messages = true;
-    config.threads = 4;
 
     obs::disable_tracing();
     const SolveResult plain = solve_with_plan(p, plan, config);

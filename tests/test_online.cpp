@@ -75,12 +75,6 @@ void run_parity(const Problem& base, const DemandGenConfig& demand_cfg,
   }
 }
 
-OnlineConfig config_with_threads(int threads) {
-  OnlineConfig config;
-  config.solver.threads = threads;
-  return config;
-}
-
 TEST(OnlineScheduler, WarmEqualsColdPoisson) {
   const Problem base = small_tree_problem(7, 32, 2, 12);
   DemandGenConfig demand_cfg;
@@ -89,10 +83,7 @@ TEST(OnlineScheduler, WarmEqualsColdPoisson) {
   traffic.rate = 6.0;
   traffic.num_batches = 8;
   traffic.seed = 11;
-  for (const int threads : {1, 4}) {
-    run_parity(base, demand_cfg, traffic, config_with_threads(threads),
-               "poisson t" + std::to_string(threads));
-  }
+  run_parity(base, demand_cfg, traffic, OnlineConfig{}, "poisson");
 }
 
 TEST(OnlineScheduler, WarmEqualsColdBursty) {
@@ -108,10 +99,7 @@ TEST(OnlineScheduler, WarmEqualsColdBursty) {
   traffic.num_batches = 8;
   traffic.initial_population = 6;
   traffic.seed = 5;
-  for (const int threads : {1, 4}) {
-    run_parity(base, demand_cfg, traffic, config_with_threads(threads),
-               "bursty t" + std::to_string(threads));
-  }
+  run_parity(base, demand_cfg, traffic, OnlineConfig{}, "bursty");
 }
 
 TEST(OnlineScheduler, WarmEqualsColdDiurnalWithTenants) {
@@ -134,7 +122,7 @@ TEST(OnlineScheduler, WarmEqualsColdDiurnalWithTenants) {
   bulk.profit_scale = 0.5;
   bulk.mean_lifetime = 3.0;
   traffic.tenants = {gold, bulk};
-  run_parity(base, demand_cfg, traffic, config_with_threads(1), "diurnal");
+  run_parity(base, demand_cfg, traffic, OnlineConfig{}, "diurnal");
 }
 
 // Forced compaction: a tiny floor and slack make the tombstone purge
@@ -208,8 +196,8 @@ TEST(OnlineScheduler, WarmRunsSkipUntouchedComponents) {
 
 // Fuzz arm: random event traces built directly (not via the arrival
 // laws) — bursts of arrivals, random departures of random live keys,
-// empty batches, departure-only batches — across seeds and thread
-// counts, parity after every batch.
+// empty batches, departure-only batches — across seeds, parity after
+// every batch.
 TEST(OnlineScheduler, FuzzRandomEventTraces) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const Problem base =
@@ -219,7 +207,6 @@ TEST(OnlineScheduler, FuzzRandomEventTraces) {
     const DemandSampler sampler(base, demand_cfg);
     Rng rng(seed * 977 + 5);
     OnlineConfig config;
-    config.solver.threads = seed % 2 == 0 ? 4 : 1;
     config.compaction_floor = 8;
     OnlineScheduler scheduler(base, config);
     std::vector<DemandKey> live;

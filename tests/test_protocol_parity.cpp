@@ -7,11 +7,9 @@
 // a central DualState replay of the stack) are compared with ==, no
 // tolerances: the protocol reads its shards through the ordered beta
 // walk, so even the doubles are bit-identical.  The engine side runs the
-// central reference (tests/support) AND the engine with threads in {1, 4} —
-// per-node randomness makes even the parallel epoch execution
-// bit-identical — and the two-pass wide/narrow schedule and the
-// non-uniform capacity profiles are held to the same standard.  Each
-// pass's fixed-schedule round identity
+// central reference (tests/support) AND the engine, and the two-pass
+// wide/narrow schedule and the non-uniform capacity profiles are held to
+// the same standard.  Each pass's fixed-schedule round identity
 //   rounds = tuples * (2*luby_budget + 1) + tuples
 // and the whole run's identity (discovery + sum over passes) are
 // asserted exactly.
@@ -193,7 +191,7 @@ void expect_pass_matches(const ProtocolPass& pass, const SolveResult& got,
 }
 
 // Single-pass parity: run_distributed_protocol under options.rule vs the
-// lockstep engine (central reference + engine threads {1, 4}) with
+// lockstep engine (the central reference and the engine) with
 // the mirror oracle, plus the central-replay final_lhs oracle and the
 // round identity.
 void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
@@ -209,19 +207,16 @@ void expect_single_pass_parity(const Problem& p, const LayeredPlan& plan,
                                  : default_luby_budget(p.num_instances()))
       << what;
 
-  const SolverConfig base = mirror_config(options, options.rule);
-  // threads = 0 stands for the central reference engine.
-  for (const int threads : {0, 1, 4}) {
-    SolverConfig config = base;
-    config.threads = threads;
+  const SolverConfig config = mirror_config(options, options.rule);
+  for (const bool central : {true, false}) {
     LubyMis oracle = LubyMis::budgeted(p, options.seed, run.luby_budget);
     const SolveResult got =
-        threads == 0 ? reference::solve(p, plan, config, &oracle)
-                     : solve_with_plan(p, plan, config, &oracle);
-    expect_pass_matches(run.passes.front(), got,
-                        what + " threads=" + std::to_string(threads));
-    EXPECT_EQ(run.solution.selected, got.solution.selected) << what;
-    EXPECT_EQ(run.lambda_observed, got.stats.lambda_observed) << what;
+        central ? reference::solve(p, plan, config, &oracle)
+                : solve_with_plan(p, plan, config, &oracle);
+    const std::string tag = what + (central ? " central" : " engine");
+    expect_pass_matches(run.passes.front(), got, tag);
+    EXPECT_EQ(run.solution.selected, got.solution.selected) << tag;
+    EXPECT_EQ(run.lambda_observed, got.stats.lambda_observed) << tag;
   }
 
   // The sharded final LHS must equal a central replay of the same stack,
@@ -260,17 +255,14 @@ void expect_split_parity(const Problem& p, const LayeredPlan& plan,
   const SolverConfig base = mirror_config(options, RaiseRuleKind::kUnit);
 
   // (a) Combined: the engine-side height split with a fresh mirror
-  // oracle must produce the same better-of selection and merged lambda.
-  // threads = 0 stands for the central reference engine.
-  for (const int threads : {0, 1, 4}) {
-    SolverConfig config = base;
-    config.threads = threads;
+  // oracle must produce the same better-of selection and merged lambda,
+  // for the central reference and the engine alike.
+  for (const bool central : {true, false}) {
     LubyMis oracle = LubyMis::budgeted(p, options.seed, run.luby_budget);
     const SolveResult combined =
-        threads == 0
-            ? reference::solve_height_split(p, plan, config, &oracle)
-            : solve_height_split(p, plan, config, &oracle);
-    const std::string tag = what + " threads=" + std::to_string(threads);
+        central ? reference::solve_height_split(p, plan, base, &oracle)
+                : solve_height_split(p, plan, base, &oracle);
+    const std::string tag = what + (central ? " central" : " engine");
     EXPECT_EQ(run.solution.selected, combined.solution.selected) << tag;
     EXPECT_EQ(run.lambda_observed, combined.stats.lambda_observed) << tag;
     EXPECT_EQ(run.solution.profit(p), combined.stats.profit) << tag;

@@ -6,9 +6,9 @@
 #include <limits>
 #include <stdexcept>
 
-#include "dist/conflict_graph.hpp"
 #include "dist/luby_mis.hpp"
 #include "dist/transport.hpp"
+#include "support/conflict_graph.hpp"
 #include "test_util.hpp"
 
 namespace treesched {

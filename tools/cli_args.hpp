@@ -7,9 +7,9 @@
 //    garbage like `--eps=0.5x` are rejected with the offending flag and
 //    value named, never std::stod's uncaught std::invalid_argument;
 //  * every known flag is registered as value-taking or boolean.  A
-//    value flag given space-separated (`--threads 4`) is rejected with
-//    the `--threads=4` spelling suggested, instead of silently
-//    recording threads="1" and treating `4` as the input file;
+//    value flag given space-separated (`--seed 4`) is rejected with
+//    the `--seed=4` spelling suggested, instead of silently
+//    recording seed="1" and treating `4` as the input file;
 //  * unknown flags and unexpected positional arguments are errors;
 //  * enum-valued flags (--shape, --heights, --decomp, --arrivals)
 //    reject unknown names, listing the valid ones, instead of silently
@@ -45,7 +45,7 @@ inline const std::vector<std::string>& value_flags() {
       "slots", "slack", "max-proc",
       // solve
       "algo", "eps", "decomp", "out", "trace", "transport", "faults",
-      "nodes", "threads",
+      "nodes",
       // solve --algo=online
       "arrivals", "rate", "batches", "interval", "lifetime", "init-pop",
       // solve --algo=online durability (online/durable_service.hpp)

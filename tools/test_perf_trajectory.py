@@ -33,7 +33,7 @@ class ClassifyTest(unittest.TestCase):
 
     def test_timing_is_informational(self):
         for field in ("wall_ms", "steps_per_sec", "profit", "speedup",
-                      "epoch_setup_ns", "merge_ns", "setup_speedup"):
+                      "epoch_setup_ns", "setup_speedup"):
             self.assertEqual(classify(field), "info", field)
 
     def test_obs_exports_are_informational_never_gating(self):
@@ -60,7 +60,7 @@ class ClassifyTest(unittest.TestCase):
 
     def test_identity_fields_are_keys(self):
         for field in ("seed", "arm", "workload", "n", "instances",
-                      "lockstep", "engine", "threads", "forest"):
+                      "lockstep", "engine"):
             self.assertEqual(classify(field), "key", field)
 
     def test_ok_flags_stay_join_keys(self):

@@ -16,7 +16,7 @@
 //                 [--faults=drop=0.05,dup=0.02,corrupt=0.01,seed=1]
 //                 [--arrivals=poisson|bursty|diurnal] [--rate=8]
 //                 [--batches=16] [--interval=1.0] [--lifetime=8.0]
-//                 [--init-pop=0] [--threads=1]
+//                 [--init-pop=0]
 //                 [--journal=run.wal] [--snapshot-every=4] [--recover]
 //                 [--crash=point=mid-append,batch=3,seed=7]
 //
@@ -41,7 +41,7 @@
 //
 // Argument parsing (tools/cli_args.hpp, shared with tests/
 // test_cli_args.cpp) is strict: malformed numbers (--eps=abc, --eps=0.5x),
-// value flags given space-separated (--threads 4), unknown flags or enum
+// value flags given space-separated (--seed 4), unknown flags or enum
 // names (--shape=binray) and stray positionals all exit 2 with a
 // diagnostic naming the offending flag.
 //
@@ -235,7 +235,6 @@ int cmd_solve_online(const Args& args, const Problem& problem) {
 
   OnlineConfig cfg;
   cfg.solver.epsilon = args.num("eps", 0.1);
-  cfg.solver.threads = static_cast<int>(args.num("threads", 1));
   cfg.decomp = parse_decomp(args.get("decomp", "ideal"));
 
   for (const char* needs_journal : {"snapshot-every", "crash"}) {
