@@ -26,64 +26,102 @@ int default_luby_budget(int n) {
 // ---------------------------------------------------------------------------
 // Message-level protocol on the synchronous runtime.
 
-std::vector<int> luby_iteration(std::span<const std::vector<int>> neighbors,
-                                Runtime& rt, std::span<const int> nodes,
-                                std::vector<char>& live,
-                                std::vector<double>& draw,
-                                std::vector<Rng>& node_rng) {
+WireLubyMis::WireLubyMis(Runtime& rt,
+                         std::span<const std::vector<int>> neighbors,
+                         std::vector<Rng>& streams, int budget)
+    : rt_(&rt),
+      neighbors_(neighbors),
+      streams_(&streams),
+      budget_(budget),
+      live_(neighbors.size(), 0),
+      draw_(neighbors.size(), 0.0) {}
+
+bool WireLubyMis::iterate(std::span<const InstanceId> nodes,
+                          std::vector<InstanceId>& selected) {
+  std::vector<char>& live = live_;
   // Round 1: every live node draws and tells its live neighbors.  A
   // decided node is silent, so absence from the inbox encodes death.
   for (int v : nodes) {
     if (!live[static_cast<std::size_t>(v)]) continue;
-    draw[static_cast<std::size_t>(v)] =
-        node_rng[static_cast<std::size_t>(v)].uniform();
-    for (int u : neighbors[static_cast<std::size_t>(v)])
+    draw_[static_cast<std::size_t>(v)] =
+        (*streams_)[static_cast<std::size_t>(v)].uniform();
+    for (int u : neighbors_[static_cast<std::size_t>(v)])
       if (live[static_cast<std::size_t>(u)])
-        rt.post(Message{v, u, kLubyTagDraw,
-                        {draw[static_cast<std::size_t>(v)]}});
+        rt_->post(Message{v, u, kLubyTagDraw,
+                          {draw_[static_cast<std::size_t>(v)]}});
   }
-  rt.step();
+  rt_->step();
 
   // Local decision + round 2: the strict minima of (draw, id) over their
   // live neighborhoods win and notify.  Drained inboxes are recycled
   // through the runtime's free list — the Luby loop is the protocol's
   // hottest drain site, and the recycled slots make the serialized
   // backends' decode loop allocation-free at steady state.
-  std::vector<int> winners;
+  const std::size_t first_winner = selected.size();
   for (int v : nodes) {
     if (!live[static_cast<std::size_t>(v)]) continue;
     bool best = true;
-    std::vector<Message> inbox = rt.drain(v);
+    std::vector<Message> inbox = rt_->drain(v);
     for (const Message& m : inbox) {
       TS_REQUIRE(m.tag == kLubyTagDraw);
       const double other = m.data[0];
-      const double mine = draw[static_cast<std::size_t>(v)];
+      const double mine = draw_[static_cast<std::size_t>(v)];
       if (other < mine || (other == mine && m.from < v)) {
         best = false;
         break;
       }
     }
-    rt.recycle(std::move(inbox));
+    rt_->recycle(std::move(inbox));
     if (!best) continue;
-    winners.push_back(v);
-    for (int u : neighbors[static_cast<std::size_t>(v)])
+    selected.push_back(v);
+    for (int u : neighbors_[static_cast<std::size_t>(v)])
       if (live[static_cast<std::size_t>(u)])
-        rt.post(Message{v, u, kLubyTagWinner, {}});
+        rt_->post(Message{v, u, kLubyTagWinner, {}});
   }
-  rt.step();
+  rt_->step();
 
-  // Winners and their notified neighbors leave the live set.  (A winner's
-  // inbox is necessarily empty here: two adjacent live nodes can never
-  // both be strict minima.)
+  // Winners and their notified neighbors leave the live set.  (Fault-free,
+  // a winner's inbox is empty here: two adjacent live nodes can never both
+  // be strict minima.)  Every live node drains, so no message outlives
+  // the iteration.
   for (int v : nodes) {
     if (!live[static_cast<std::size_t>(v)]) continue;
-    std::vector<Message> inbox = rt.drain(v);
+    std::vector<Message> inbox = rt_->drain(v);
     for (const Message& m : inbox)
       if (m.tag == kLubyTagWinner) live[static_cast<std::size_t>(v)] = 0;
-    rt.recycle(std::move(inbox));
+    rt_->recycle(std::move(inbox));
   }
-  for (int v : winners) live[static_cast<std::size_t>(v)] = 0;
-  return winners;
+  for (std::size_t k = first_winner; k < selected.size(); ++k)
+    live[static_cast<std::size_t>(selected[k])] = 0;
+  return std::any_of(nodes.begin(), nodes.end(), [&](int v) {
+    return live[static_cast<std::size_t>(v)] != 0;
+  });
+}
+
+MisResult WireLubyMis::run(std::span<const InstanceId> candidates) {
+  for (InstanceId v : candidates) live_[static_cast<std::size_t>(v)] = 1;
+  MisResult result;
+  const LubySchedule sched = run_luby_schedule(
+      budget_, kDefaultMisMaxRetries, !candidates.empty(),
+      [&] { return iterate(candidates, result.selected); });
+  for (int iter = sched.iterations; iter < budget_; ++iter) {
+    rt_->step();
+    rt_->step();
+  }
+  if (sched.retries > 0) TRACE_COUNTER("protocol.mis_retries", sched.retries);
+  result.retries = sched.retries;
+  result.rounds = 2 * (std::max(budget_, sched.iterations) +
+                       sched.retry_iterations);
+  retry_rounds_ += 2 * static_cast<std::int64_t>(sched.retry_iterations);
+  for (InstanceId v : candidates) {
+    if (live_[static_cast<std::size_t>(v)]) {
+      mis_ok_ = false;  // budget and retries spent with undecided nodes
+      TRACE_COUNTER("protocol.luby_undecided_nodes", 1);
+      live_[static_cast<std::size_t>(v)] = 0;
+    }
+  }
+  std::sort(result.selected.begin(), result.selected.end());
+  return result;
 }
 
 ProtocolResult run_luby_protocol(const Problem& problem,
@@ -104,27 +142,15 @@ ProtocolResult run_luby_protocol(const Problem& problem,
   result.discovery_messages = hood.messages;
   result.discovery_bytes = hood.bytes;
 
-  // Per-node private random stream: SplitMix64 expands the seed so node
-  // draws are independent of the iteration order, mirroring processors
-  // drawing locally.
+  // Per-node private random streams, and one run until every node has
+  // decided: every iteration at least the globally minimal key wins.
   std::vector<Rng> node_rng = make_node_streams(seed, n);
-
   std::vector<int> nodes(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) nodes[static_cast<std::size_t>(v)] = v;
-  std::vector<char> live(static_cast<std::size_t>(n), 1);
-  std::vector<double> draw(static_cast<std::size_t>(n), 0.0);
+  WireLubyMis mis(rt, {hood.neighbors.data(), hood.neighbors.size()},
+                  node_rng, /*budget=*/0);
+  result.selected = mis.run(nodes).selected;
 
-  // Adaptive loop: every iteration at least the globally minimal key
-  // wins, so the live set strictly shrinks.
-  while (std::find(live.begin(), live.end(), char{1}) != live.end()) {
-    const std::vector<int> winners = luby_iteration(
-        {hood.neighbors.data(), hood.neighbors.size()}, rt, nodes, live,
-        draw, node_rng);
-    result.selected.insert(result.selected.end(), winners.begin(),
-                           winners.end());
-  }
-
-  std::sort(result.selected.begin(), result.selected.end());
   result.rounds = rt.round();
   result.messages = rt.messages_sent();
   result.bytes = rt.bytes_sent();
@@ -234,40 +260,23 @@ MisResult LubyMis::run(std::span<const InstanceId> candidates) {
   std::vector<double> draw(live.size(), 0.0);
   std::vector<InstanceId> next;
 
-  // The main schedule.  Run-until-decided (budget_ == 0): every
-  // iteration at least the minimal key wins, so the live set strictly
-  // shrinks, and each executed iteration costs the paper's 2 synchronous
-  // rounds (draw exchange + winner notification).  The fixed protocol
-  // schedule: every MIS computation spends exactly budget_ iterations of
-  // 2 rounds each, decided nodes sitting the remainder out in silence.
-  int iterations = 0;
-  while (!live.empty() && (budget_ == 0 || iterations < budget_)) {
-    ++iterations;
-    run_iteration(live, draw, next, result);
-  }
-  result.rounds = 2 * (budget_ > 0 ? budget_ : std::max(iterations, 1));
-
-  // Adaptive budget retry (fixed schedule only; the run-until-decided
-  // schedule leaves nothing live): a starved stage re-runs with the
-  // budget doubled per attempt instead of silently leaving nodes
-  // undecided.  Unlike the fixed main schedule, retry rounds are
-  // adaptive: only iterations actually executed are charged (2 rounds
-  // each).  Because the iteration dynamics decompose across
-  // conflict-disjoint components and draws are per-instance, a
-  // whole-frontier run enters attempt a exactly when its slowest
-  // component would on its own.
-  int attempt = 0;
-  while (!live.empty() && attempt < max_retries_) {
-    ++attempt;
-    ++result.retries;
-    const int extra = budget_ << attempt;
-    for (int iter = 0; iter < extra && !live.empty(); ++iter) {
-      ++iterations;
-      run_iteration(live, draw, next, result);
-      result.rounds += 2;
-    }
-  }
-  if (attempt > 0) TRACE_COUNTER("mis.budget_retries", attempt);
+  // Each iteration costs the paper's 2 synchronous rounds (draw exchange
+  // + winner notification).  Run-until-decided (budget_ == 0) charges the
+  // iterations executed; the fixed schedule charges all budget_ of them,
+  // decided nodes sitting the remainder out in silence, plus the retry
+  // iterations actually executed.  The dynamics decompose across
+  // conflict-disjoint components and draws are per instance, so a
+  // whole-frontier run retries exactly when its slowest component would.
+  const LubySchedule sched =
+      run_luby_schedule(budget_, max_retries_, !live.empty(), [&] {
+        run_iteration(live, draw, next, result);
+        return !live.empty();
+      });
+  const int iterations = sched.iterations + sched.retry_iterations;
+  result.retries = sched.retries;
+  result.rounds = 2 * (budget_ > 0 ? budget_ : std::max(iterations, 1)) +
+                  2 * sched.retry_iterations;
+  if (sched.retries > 0) TRACE_COUNTER("mis.budget_retries", sched.retries);
 
   // Winners in ascending id order — the order the protocol raises a
   // step's winners in; undecided leftovers (budget and retries

@@ -4,8 +4,9 @@
 // run_luby_protocol() is the *message-level* implementation: one Runtime
 // node per member instance.  It first learns the conflict neighborhoods
 // through the 2-round edge-owner rendezvous of dist/discovery.hpp — no
-// global conflict graph is ever built — then runs the Luby loop on the
-// discovered adjacency.  Each iteration costs exactly 2 synchronous
+// global conflict graph is ever built — then runs WireLubyMis (the
+// oracle of the wire protocol's passes too) on the discovered adjacency
+// until every node has decided.  Each iteration costs exactly 2 synchronous
 // rounds — round 1 exchanges the random draws, round 2 notifies
 // neighbors of the winners — and a node joins the MIS when its
 // (draw, id) key beats every live neighbor's.  Losers adjacent to a
@@ -53,14 +54,47 @@ std::vector<Rng> make_node_streams(std::uint64_t seed, int count);
 // the modeled mirror oracle and the tests derive the same number.
 int default_luby_budget(int n);
 
-// Adaptive budget retry: when a fixed-budget MIS stage ends with
-// undecided nodes, the stage re-runs with the budget doubled (2x, then
-// 4x, ...) up to this many attempts before accepting the leftover as
-// undecided — the starved stage recovers instead of silently degrading
-// into mis_ok=false.  Shared default of the modeled oracle
-// (LubyMis::budgeted) and the wire protocol (ProtocolOptions) so their
-// lockstep parity is preserved.
+// Retry attempts of a starved fixed budget (run_luby_schedule below), so
+// it recovers instead of silently degrading into mis_ok=false.  The bound
+// of the modeled oracle (LubyMis::budgeted) and of the wire's
+// (WireLubyMis) alike, so their lockstep parity is preserved.
 inline constexpr int kDefaultMisMaxRetries = 2;
+
+// What one run of the Luby schedule executed.
+struct LubySchedule {
+  int iterations = 0;        // main-schedule iterations
+  int retries = 0;           // budget retry attempts entered
+  int retry_iterations = 0;  // iterations the retries executed
+};
+
+// The one Luby schedule, shared by LubyMis and WireLubyMis (the wire
+// protocol's oracle).  `iterate()` runs one Luby iteration and returns
+// whether undecided candidates remain; `undecided` says whether any do
+// before the first.  The main schedule iterates while anyone is
+// undecided, up to `budget` iterations (0: no bound).  A budget that
+// ends with undecided candidates is then retried with the budget
+// doubled per attempt (2x, 4x, ...), up to `max_retries` attempts.
+// Stopping early once everyone has decided consumes no further draws;
+// a fixed-budget caller charges (or steps through) the silent remainder
+// itself.
+template <class Iterate>
+LubySchedule run_luby_schedule(int budget, int max_retries, bool undecided,
+                               Iterate&& iterate) {
+  LubySchedule run;
+  while (undecided && (budget == 0 || run.iterations < budget)) {
+    ++run.iterations;
+    undecided = iterate();
+  }
+  for (int attempt = 1; undecided && attempt <= max_retries; ++attempt) {
+    ++run.retries;
+    const int extra = budget << attempt;
+    for (int iter = 0; iter < extra && undecided; ++iter) {
+      ++run.retry_iterations;
+      undecided = iterate();
+    }
+  }
+  return run;
+}
 
 // Outcome of a message-level Luby run: selected member indexes plus the
 // Runtime's accounting, with the discovery share broken out (totals
@@ -85,21 +119,43 @@ struct ProtocolResult {
   bool degraded = false;
 };
 
-// One message-level Luby iteration (exactly 2 synchronous rounds) over
-// the live subset of `nodes`: every live node draws via its private rng,
-// exchanges the draw with its live neighbors, the strict minima of
-// (draw, id) over their live neighborhoods win and notify, and every
-// decided node — winner or notified loser — leaves `live`.  Returns the
-// iteration's winners.  `neighbors`, `live`, `draw` and `node_rng` are
-// indexed by member index; `neighbors` is typically
-// DiscoveredNeighborhoods::neighbors.  Shared by run_luby_protocol
-// (adaptive loop) and the fixed-budget protocol scheduler so the two
-// message-level paths cannot drift apart.
-std::vector<int> luby_iteration(std::span<const std::vector<int>> neighbors,
-                                Runtime& rt, std::span<const int> nodes,
-                                std::vector<char>& live,
-                                std::vector<double>& draw,
-                                std::vector<Rng>& node_rng);
+// The message-level MIS oracle: each run() is Luby on the runtime over
+// the candidates (candidate v is node v, neighbors[v] its discovered
+// neighborhood, streams[v] its private stream) under run_luby_schedule.
+// An iteration costs exactly 2 synchronous rounds: every live node
+// exchanges its draw with its live neighbors, the strict minima of
+// (draw, id) win and notify, and every decided node — winner or notified
+// loser — leaves the live set.  A fixed budget (> 0) spends exactly
+// `budget` iterations, the decided processors sitting the rest out in
+// silence, plus the retries; budget 0 iterates until every candidate
+// decides.  Winners come back in ascending id order.  `neighbors` and
+// `streams` must outlive the oracle.
+class WireLubyMis final : public MisOracle {
+ public:
+  WireLubyMis(Runtime& rt, std::span<const std::vector<int>> neighbors,
+              std::vector<Rng>& streams, int budget);
+  MisResult run(std::span<const InstanceId> candidates) override;
+
+  // Whether every run decided all of its candidates, and the rounds the
+  // budget retries cost (the adaptive part of the fixed schedule).
+  bool mis_ok() const { return mis_ok_; }
+  std::int64_t retry_rounds() const { return retry_rounds_; }
+
+ private:
+  // One iteration over the live `nodes`: appends its winners to
+  // `selected`; returns whether undecided nodes remain.
+  bool iterate(std::span<const InstanceId> nodes,
+               std::vector<InstanceId>& selected);
+
+  Runtime* rt_;
+  std::span<const std::vector<int>> neighbors_;
+  std::vector<Rng>* streams_;
+  int budget_;
+  std::vector<char> live_;    // per node: still undecided
+  std::vector<double> draw_;  // per node: this iteration's draw
+  bool mis_ok_ = true;
+  std::int64_t retry_rounds_ = 0;
+};
 
 // Luby's MIS as a real protocol on the synchronous runtime: rendezvous
 // discovery first, then 2 rounds per iteration on the discovered
@@ -133,13 +189,11 @@ ProtocolResult run_luby_protocol(
 // Two schedules:
 //  * LubyMis(problem, seed) iterates until every candidate decides and
 //    charges MisResult.rounds = 2 per executed iteration (at least one);
-//  * LubyMis::budgeted(...) is the protocol scheduler's fixed schedule:
-//    each run() spends exactly `luby_budget` iterations (stopping early
-//    only once every candidate has decided, which consumes no further
-//    draws), then the adaptive budget retry.  Feeding it to the
-//    two-phase engine in lockstep mode replays the protocol's entire
-//    raise sequence, which is what the protocol parity suite
-//    (tests/test_protocol_parity.cpp) compares with ==.
+//  * LubyMis::budgeted(...) is the protocol's fixed schedule
+//    (run_luby_schedule above).  Feeding it to the two-phase engine in
+//    lockstep mode replays the protocol's entire raise sequence, which
+//    the protocol parity suite (tests/test_protocol_parity.cpp) compares
+//    with ==.
 class LubyMis : public MisOracle {
  public:
   LubyMis(const Problem& problem, std::uint64_t seed);
@@ -152,13 +206,10 @@ class LubyMis : public MisOracle {
   LubyMis(LubyMis&&) = default;
   LubyMis& operator=(LubyMis&&) = default;
 
-  // `luby_budget` <= 0 derives default_luby_budget(num_instances).
-  // `max_retries` bounds the adaptive budget retry: a run() whose fixed
-  // budget ends with undecided candidates re-runs with the budget
-  // doubled per attempt (2x, 4x, ...), up to max_retries attempts,
-  // reporting the attempts in MisResult::retries and the extra
-  // iterations in MisResult::rounds.  0 leaves the undecided candidates
-  // unselected.
+  // `luby_budget` <= 0 derives default_luby_budget(num_instances).  The
+  // retry attempts are reported in MisResult::retries and their
+  // iterations in MisResult::rounds; max_retries = 0 leaves undecided
+  // candidates unselected.
   static LubyMis budgeted(const Problem& problem, std::uint64_t seed,
                           int luby_budget = 0,
                           int max_retries = kDefaultMisMaxRetries);

@@ -1,7 +1,7 @@
 #include "dist/protocol_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -10,6 +10,7 @@
 #include "dist/runtime.hpp"
 #include "framework/certify.hpp"
 #include "framework/dual_shard.hpp"
+#include "framework/phase1.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,12 +24,6 @@ namespace {
 constexpr int kTagRaise = 2;  // payload: encode_raise() wire format
 constexpr int kTagKeep = 3;   // phase 2: {}
 
-// The wire's adaptive MIS retry bound must track the mirror oracle's
-// default, or the lockstep engine parity (compared with ==) breaks.
-static_assert(ProtocolOptions{}.mis_max_retries == kDefaultMisMaxRetries,
-              "ProtocolOptions::mis_max_retries must equal "
-              "kDefaultMisMaxRetries (dist/luby_mis.hpp)");
-
 // State shared by the passes of one protocol run: the runtime, the
 // discovered neighborhoods, and the per-processor random streams.  The
 // streams persist across passes (a processor owns one stream for the
@@ -40,13 +35,15 @@ struct ProtocolState {
   Runtime rt;
   DiscoveredNeighborhoods hood;
   std::vector<Rng> node_rng;
-  std::vector<char> live;
-  std::vector<double> draw;
 
-  ProtocolState(const Problem& problem, const ProtocolOptions& options)
+  ProtocolState(const Problem& problem, const LayeredPlan& plan,
+                const ProtocolOptions& options)
       : n(problem.num_instances()),
         rt(std::max(RendezvousLayout::for_problem(problem, n).total, 1),
            options.transport, &options.faults) {
+    TS_REQUIRE(problem.finalized());
+    TS_REQUIRE(plan.group.size() == static_cast<std::size_t>(n));
+    TS_REQUIRE(options.epsilon > 0.0 && options.epsilon < 1.0);
     // One runtime node per instance plus the rendezvous owner nodes.  The
     // conflict neighborhoods are *discovered*, not built: the 2-round
     // edge-owner rendezvous replaces the global ConflictGraph and is
@@ -56,8 +53,98 @@ struct ProtocolState {
     for (InstanceId i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
     hood = discover_conflicts(problem, {all.data(), all.size()}, rt);
     node_rng = make_node_streams(options.seed, n);
-    live.assign(static_cast<std::size_t>(std::max(n, 1)), 0);
-    draw.assign(static_cast<std::size_t>(std::max(n, 1)), 0.0);
+  }
+};
+
+// The wire's dual store: processor i's DualShard holds exactly the
+// variables its own constraint reads, read through the ordered beta walk
+// (the central DualState's float operation order).  A raise updates the
+// winner's shard and posts the increments to its discovered neighbors;
+// the step's closing round delivers them and every receiver applies what
+// it got.  The store also counts the pass's tuples, notes the tuple of
+// every stack row (phase 2 replays each row in its tuple's round) and
+// logs the raise amounts row by row for the degraded-mode certificate.
+struct WireDuals {
+  ProtocolState* st;
+  std::int64_t rounds_per_tuple;  // 2 * luby_budget + 1
+  std::vector<DualShard> shard;
+  std::vector<char> mail_mark;
+  std::vector<int> mailed;
+  std::int64_t tuples = 0;
+  std::vector<std::int64_t> row_tuples;      // tuple of each stack row
+  std::vector<std::vector<double>> amounts;  // parallel to the stack rows
+  std::vector<double> row_amounts;
+
+  WireDuals(const Problem& problem, ProtocolState& state, int luby_budget)
+      : st(&state),
+        rounds_per_tuple(2 * static_cast<std::int64_t>(luby_budget) + 1),
+        mail_mark(static_cast<std::size_t>(state.n), 0) {
+    shard.reserve(static_cast<std::size_t>(state.n));
+    for (InstanceId i = 0; i < state.n; ++i) {
+      const DemandInstance& inst = problem.instance(i);
+      shard.emplace_back(inst.demand, std::span<const EdgeId>{
+                                          inst.edges.data(),
+                                          inst.edges.size()});
+    }
+  }
+
+  double lhs(InstanceId i, double beta_coeff) const {
+    return shard[static_cast<std::size_t>(i)].lhs_ordered(beta_coeff);
+  }
+
+  void raise(InstanceId i, double delta, std::span<const EdgeId> critical,
+             std::span<const double> increments) {
+    DualShard& mine = shard[static_cast<std::size_t>(i)];
+    mine.raise_alpha(delta);
+    for (std::size_t c = 0; c < critical.size(); ++c)
+      mine.raise_beta(critical[c], increments[c]);
+    row_amounts.push_back(delta);
+    broadcast(i, kTagRaise,
+              encode_raise(mine.demand(), delta, critical, increments));
+  }
+
+  void end_step() {
+    if (!row_amounts.empty()) {
+      row_tuples.push_back(tuples);
+      amounts.push_back(std::exchange(row_amounts, {}));
+    }
+    ++tuples;
+    deliver();
+  }
+
+  // Tuples with nothing to raise: their rounds pass in silence.
+  void idle(std::int64_t count) {
+    tuples += count;
+    for (std::int64_t r = 0; r < count * rounds_per_tuple; ++r) st->rt.step();
+  }
+
+  // Posts `payload` from i to each of its discovered neighbors.
+  void broadcast(InstanceId i, int tag, const std::vector<double>& payload) {
+    for (int u : st->hood.neighbors[static_cast<std::size_t>(i)]) {
+      st->rt.post(Message{i, u, tag, payload});
+      if (!mail_mark[static_cast<std::size_t>(u)]) {
+        mail_mark[static_cast<std::size_t>(u)] = 1;
+        mailed.push_back(u);
+      }
+    }
+  }
+
+  // Closes the round and drains only the processors that were sent mail,
+  // applying the raise propagations (keeps carry nothing to apply).
+  // Inboxes are recycled so the serialized backends' decode loop stays
+  // free of steady-state allocation.
+  void deliver() {
+    st->rt.step();
+    for (int v : mailed) {
+      mail_mark[static_cast<std::size_t>(v)] = 0;
+      std::vector<Message> inbox = st->rt.drain(v);
+      for (const Message& m : inbox)
+        if (m.tag == kTagRaise)
+          shard[static_cast<std::size_t>(v)].apply_raise(
+              {m.data.data(), m.data.size()});
+      st->rt.recycle(std::move(inbox));
+    }
+    mailed.clear();
   }
 };
 
@@ -69,8 +156,6 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
                       const ProtocolOptions& options, int luby_budget,
                       ProtocolState& st) {
   const int n = st.n;
-  const std::span<const std::vector<int>> neighbors{st.hood.neighbors.data(),
-                                                    st.hood.neighbors.size()};
   const std::int64_t rounds_before = st.rt.round();
   const std::int64_t messages_before = st.rt.messages_sent();
   const std::int64_t bytes_before = st.rt.bytes_sent();
@@ -79,8 +164,10 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
                            static_cast<std::int64_t>(kind));
   ProtocolPass pass;
   pass.rule = kind;
+  std::vector<InstanceId> members;
   for (InstanceId i = 0; i < n; ++i)
-    if (active[static_cast<std::size_t>(i)]) ++pass.instances;
+    if (active[static_cast<std::size_t>(i)]) members.push_back(i);
+  pass.instances = static_cast<int>(members.size());
   pass_span.arg("instances", pass.instances);
 
   // The fixed schedule, shared derivation with the modeled engine:
@@ -95,230 +182,84 @@ ProtocolPass run_pass(const Problem& problem, const LayeredPlan& plan,
   pass.xi = params.xi;
   pass.stages_per_epoch = params.stages_per_epoch;
   pass.steps_per_stage = lockstep_step_budget(problem, options.lockstep_slack);
+  pass.tuples = static_cast<std::int64_t>(pass.epochs) *
+                pass.stages_per_epoch * pass.steps_per_stage;
 
-  // Per-processor dual shards, fresh for this pass: processor i stores
-  // alpha of its demand and beta of its own path edges, nothing else.
-  const RaiseRule rule(kind, problem, /*raise_alpha=*/true,
-                       options.capacity_aware_raises);
-  std::vector<DualShard> shard;
-  shard.reserve(static_cast<std::size_t>(n));
-  for (InstanceId i = 0; i < n; ++i) {
-    const DemandInstance& inst = problem.instance(i);
-    shard.emplace_back(inst.demand,
-                       std::span<const EdgeId>{inst.edges.data(),
-                                               inst.edges.size()});
-  }
-
-  const auto unsatisfied = [&](InstanceId i, double target) {
-    // A purely local test: the shard holds every variable of i's
-    // constraint, kept current by the applied raise propagations.  The
-    // ordered (ascending-edge) beta walk replays the central DualState's
-    // float operation order — the engine-parity suite compares with ==.
-    const DemandInstance& inst = problem.instance(i);
-    return shard[static_cast<std::size_t>(i)].lhs_ordered(
-               rule.beta_coeff(inst)) <
-           target * inst.profit - kEps * inst.profit;
-  };
-  // Drains every member inbox, applying raise propagations to the local
-  // shards (the one message type that may be in flight at step ends).
-  // Inboxes are recycled: this runs once per step, n drains each, and
-  // the recycled slots keep the serialized backends' decode loop free of
-  // steady-state allocation.
-  const auto drain_and_apply = [&] {
-    for (int v = 0; v < n; ++v) {
-      std::vector<Message> inbox = st.rt.drain(v);
-      for (const Message& m : inbox) {
-        // Only raise propagations matter here.  On a *lossy* run a lost
-        // winner notification can leave a dead node holding stale Luby
-        // traffic it never drained — skip it; on any masked (or
-        // fault-free) run nothing but kTagRaise can be in flight.
-        if (m.tag != kTagRaise) continue;
-        shard[static_cast<std::size_t>(v)].apply_raise(
-            {m.data.data(), m.data.size()});
-      }
-      st.rt.recycle(std::move(inbox));
-    }
-  };
-
-  // ---- Phase 1: raise, one fixed-length tuple at a time -------------------
-  // The internal stack keeps one entry per tuple (idle tuples included)
-  // so phase 2 can replay the full fixed schedule; the *reported* stack
-  // strips the empty entries, matching the modeled engine's.
-  std::vector<std::vector<InstanceId>> stack;
-  // Raise amounts, parallel to `stack` (one entry per winner, in raise
-  // order): the degraded-mode certificate replays them centrally.
-  std::vector<std::vector<double>> amount_log;
-  std::vector<double> increments;
-
-  for (int g = 0; g < plan.num_groups; ++g) {
-    const auto& members = plan.members[static_cast<std::size_t>(g)];
-    for (int j = 1; j <= pass.stages_per_epoch; ++j) {
-      const double target = 1.0 - std::pow(pass.xi, j);
-      TRACE_SPAN2("protocol", "stage", "epoch", g, "stage", j);
-      for (int s = 0; s < pass.steps_per_stage; ++s) {
-        // Participants: the pass's group members still below the stage
-        // target (a local test against the processor's own shard).
-        std::vector<int> participants;
-        for (InstanceId i : members)
-          if (active[static_cast<std::size_t>(i)] && unsatisfied(i, target))
-            participants.push_back(i);
-        for (int v : participants) st.live[static_cast<std::size_t>(v)] = 1;
-
-        // Luby MIS, exactly luby_budget iterations of 2 rounds each.
-        // Decided processors sit out the remaining iterations in silence.
-        std::vector<InstanceId> winners;
-        for (int iter = 0; iter < luby_budget; ++iter) {
-          const std::vector<int> won = luby_iteration(
-              neighbors, st.rt, participants, st.live, st.draw, st.node_rng);
-          winners.insert(winners.end(), won.begin(), won.end());
-        }
-        // Adaptive budget retry: a starved step re-runs with the budget
-        // doubled per attempt, up to options.mis_max_retries attempts —
-        // the same loop (condition order, early exit, stream
-        // consumption) as the mirror oracle LubyMis::budgeted, so the
-        // engine parity stays exact.  The extra rounds are the adaptive
-        // part of the otherwise-fixed schedule, broken out into
-        // mis_retry_rounds to keep the round identity checkable.
-        const auto any_live = [&] {
-          for (int v : participants)
-            if (st.live[static_cast<std::size_t>(v)]) return true;
-          return false;
-        };
-        int attempt = 0;
-        while (attempt < options.mis_max_retries && any_live()) {
-          ++attempt;
-          ++pass.mis_retries;
-          TRACE_COUNTER("protocol.mis_retries", 1);
-          const int extra = luby_budget << attempt;
-          for (int iter = 0; iter < extra && any_live(); ++iter) {
-            const std::int64_t r0 = st.rt.round();
-            const std::vector<int> won = luby_iteration(
-                neighbors, st.rt, participants, st.live, st.draw,
-                st.node_rng);
-            winners.insert(winners.end(), won.begin(), won.end());
-            pass.mis_retry_rounds += st.rt.round() - r0;
-          }
-        }
-        for (int v : participants) {
-          if (st.live[static_cast<std::size_t>(v)]) {
-            pass.mis_ok = false;  // budget exhausted with undecided nodes
-            TRACE_COUNTER("protocol.luby_undecided_nodes", 1);
-            st.live[static_cast<std::size_t>(v)] = 0;
-          }
-        }
-
-        // Dual-propagation round: every MIS member raises its own shard
-        // tightly and ships the increments to all conflicting neighbors,
-        // which apply them on arrival.  The increments are whatever
-        // tight_raise computed — capacity-normalized per edge when the
-        // rule is capacity-aware — so the wire format carries the
-        // non-uniform rules unchanged.
-        std::sort(winners.begin(), winners.end());
-        std::vector<double>& amounts = amount_log.emplace_back();
-        amounts.reserve(winners.size());
-        for (InstanceId i : winners) {
-          const DemandInstance& inst = problem.instance(i);
-          const auto& critical = plan.critical[static_cast<std::size_t>(i)];
-          DualShard& mine = shard[static_cast<std::size_t>(i)];
-          const double slack =
-              inst.profit - mine.lhs_ordered(rule.beta_coeff(inst));
-          // tight_raise is the same call the modeled engine makes — one
-          // raise arithmetic for every implementation.
-          const double amount =
-              rule.tight_raise(inst, critical, slack, increments);
-          amounts.push_back(amount);
-          mine.raise_alpha(amount);
-          for (std::size_t c = 0; c < critical.size(); ++c)
-            mine.raise_beta(critical[c], increments[c]);
-          const std::vector<double> payload = encode_raise(
-              inst.demand, amount, critical,
-              {increments.data(), increments.size()});
-          for (int u : neighbors[static_cast<std::size_t>(i)])
-            st.rt.post(Message{i, u, kTagRaise, payload});
-        }
-        st.rt.step();
-        drain_and_apply();
-        stack.push_back(std::move(winners));
-      }
-      // Lemma 5.1: the fixed step budget must have satisfied the stage.
-      for (InstanceId i : members)
-        if (active[static_cast<std::size_t>(i)] && unsatisfied(i, target))
-          pass.schedule_ok = false;
-    }
-  }
+  // ---- Phase 1: the engine's lockstep epoch loop on the wire ---------------
+  // The wire supplies the dual store (per-processor shards, raises on the
+  // wire) and the MIS oracle (Luby on the runtime); the stack the engine
+  // returns holds the raising steps only.
+  SolverConfig config;
+  config.epsilon = options.epsilon;
+  config.rule = kind;
+  config.capacity_aware_raises = options.capacity_aware_raises;
+  config.lockstep = true;
+  config.lockstep_slack = options.lockstep_slack;
+  config.keep_stack = true;
+  WireLubyMis luby(st.rt,
+                   {st.hood.neighbors.data(), st.hood.neighbors.size()},
+                   st.node_rng, luby_budget);
+  WireDuals duals(problem, st, luby_budget);
+  TwoPhaseEngine engine(problem, plan, config, &luby);
+  engine.restrict_to(std::move(members));
+  SolveResult phase1 = engine.run_on(duals, &params);
+  TS_REQUIRE(duals.tuples == pass.tuples);
+  pass.solution = std::move(phase1.solution);
+  pass.schedule_ok = phase1.stats.lockstep_ok;
+  pass.lambda_observed = phase1.stats.lambda_observed;
+  pass.mis_retries = phase1.stats.mis_retries;
+  pass.mis_ok = luby.mis_ok();
+  pass.mis_retry_rounds = luby.retry_rounds();
+  const std::vector<std::vector<InstanceId>>& stack = phase1.raise_stack;
 
   // ---- Phase 2: reverse replay, 1 keep/drop round per tuple ---------------
-  TRACE_SPAN("protocol", "phase2_replay");
-  pass.solution = prune_stack(problem, stack);
-  std::vector<char> kept(static_cast<std::size_t>(std::max(n, 1)), 0);
-  for (InstanceId i : pass.solution.selected)
-    kept[static_cast<std::size_t>(i)] = 1;
-  std::vector<char> announced(static_cast<std::size_t>(std::max(n, 1)), 0);
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    for (InstanceId i : *it) {
-      if (!kept[static_cast<std::size_t>(i)]) continue;
-      if (announced[static_cast<std::size_t>(i)]) continue;
-      announced[static_cast<std::size_t>(i)] = 1;
-      for (int u : neighbors[static_cast<std::size_t>(i)])
-        st.rt.post(Message{i, u, kTagKeep, {}});
+  {
+    TRACE_SPAN("protocol", "phase2_replay");
+    // Each kept instance announces once, at its latest row.
+    std::vector<char> unannounced(static_cast<std::size_t>(std::max(n, 1)), 0);
+    for (InstanceId i : pass.solution.selected)
+      unannounced[static_cast<std::size_t>(i)] = 1;
+    std::size_t row = stack.size();
+    for (std::int64_t t = pass.tuples - 1; t >= 0; --t) {
+      if (row > 0 && duals.row_tuples[row - 1] == t) {
+        for (InstanceId i : stack[--row]) {
+          if (!unannounced[static_cast<std::size_t>(i)]) continue;
+          unannounced[static_cast<std::size_t>(i)] = 0;
+          duals.broadcast(i, kTagKeep, {});
+        }
+      }
+      duals.deliver();
     }
-    st.rt.step();
-    for (int v = 0; v < n; ++v) st.rt.recycle(st.rt.drain(v));
   }
 
-  // Certification from the shards alone: every processor reports its own
-  // satisfaction level; lambda is the minimum over the pass members.
   // final_lhs covers *all* instances — bystander shards applied the
   // incoming raises too, so the whole vector equals a central DualState
   // replay of the pass's stack.
+  const RaiseRule rule(kind, problem, /*raise_alpha=*/true,
+                       options.capacity_aware_raises);
   pass.final_lhs.resize(static_cast<std::size_t>(n));
-  double lambda = 1.0;
-  bool any = false;
-  for (InstanceId i = 0; i < n; ++i) {
-    const DemandInstance& inst = problem.instance(i);
-    const double lhs =
-        shard[static_cast<std::size_t>(i)].lhs_ordered(rule.beta_coeff(inst));
-    pass.final_lhs[static_cast<std::size_t>(i)] = lhs;
-    if (!active[static_cast<std::size_t>(i)]) continue;
-    const double level = lhs / inst.profit;
-    lambda = any ? std::min(lambda, level) : level;
-    any = true;
-  }
-  pass.lambda_observed = any ? lambda : 1.0;
+  for (InstanceId i = 0; i < n; ++i)
+    pass.final_lhs[static_cast<std::size_t>(i)] =
+        duals.lhs(i, rule.beta_coeff(problem.instance(i)));
 
-  pass.tuples = static_cast<std::int64_t>(pass.epochs) *
-                pass.stages_per_epoch * pass.steps_per_stage;
   pass.rounds = st.rt.round() - rounds_before;
   pass.messages = st.rt.messages_sent() - messages_before;
   pass.bytes = st.rt.bytes_sent() - bytes_before;
 
   // Degraded-mode contract: if the recovery layer lost a frame, the
   // shard-reported certificate may undercount — re-validate it against a
-  // central replay of the raises actually applied (framework/certify.hpp)
-  // before the stack is handed off below.
+  // central replay of the raises actually applied (framework/certify.hpp).
   pass.degraded = st.rt.degraded();
   if (pass.degraded) {
     const ShardCertificate cert = validate_shard_certificate(
-        problem, plan, rule, stack, amount_log,
+        problem, plan, rule, stack, duals.amounts,
         {pass.final_lhs.data(), pass.final_lhs.size()}, pass.lambda_observed,
         active);
     pass.certificate_ok = cert.valid;
   }
 
-  if (options.keep_stack) {
-    pass.raise_stack.reserve(stack.size());
-    for (auto& step : stack)
-      if (!step.empty()) pass.raise_stack.push_back(std::move(step));
-  }
+  if (options.keep_stack) pass.raise_stack = std::move(phase1.raise_stack);
   return pass;
-}
-
-void begin_run(const Problem& problem, const LayeredPlan& plan,
-               const ProtocolOptions& options) {
-  TS_REQUIRE(problem.finalized());
-  TS_REQUIRE(plan.group.size() ==
-             static_cast<std::size_t>(problem.num_instances()));
-  TS_REQUIRE(options.epsilon > 0.0 && options.epsilon < 1.0);
 }
 
 // The shared preamble of both entry points: the fixed schedule scalars
@@ -387,10 +328,9 @@ void finish_run(ProtocolRunResult& result, const ProtocolState& st) {
 ProtocolRunResult run_distributed_protocol(const Problem& problem,
                                            const LayeredPlan& plan,
                                            const ProtocolOptions& options) {
-  begin_run(problem, plan, options);
   const int n = problem.num_instances();
 
-  ProtocolState st(problem, options);
+  ProtocolState st(problem, plan, options);
   ProtocolRunResult result = init_result(problem, plan, options, st);
   std::vector<char> all(static_cast<std::size_t>(std::max(n, 1)), 1);
   if (n > 0) {
@@ -405,8 +345,7 @@ ProtocolRunResult run_distributed_protocol(const Problem& problem,
 ProtocolRunResult run_height_split_protocol(const Problem& problem,
                                             const LayeredPlan& plan,
                                             const ProtocolOptions& options) {
-  begin_run(problem, plan, options);
-  ProtocolState st(problem, options);
+  ProtocolState st(problem, plan, options);
   ProtocolRunResult result = init_result(problem, plan, options, st);
 
   // The Section 6 classes, from the same builder the modeled

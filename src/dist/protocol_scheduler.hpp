@@ -10,40 +10,43 @@
 //   steps_per_stage  = O(log(pmax/pmin))           (Lemma 5.1/Claim 5.2),
 //   luby_budget      = O(log n) Luby iterations    (w.h.p. termination).
 // xi is derived per *pass* from the raising rule and the pass's observed
-// (Delta, h_min) through derive_stage_params — the same derivation the
-// modeled engine's prepare() uses, so the two cannot drift.
+// (Delta, h_min) through derive_stage_params, as the engine's does.
 //
-// Nothing in the run is global anymore:
-//  - neighborhoods are learned by the 2-round edge-owner rendezvous of
-//    dist/discovery.hpp (no ConflictGraph is materialized);
-//  - the dual state is sharded per processor (framework/dual_shard.hpp):
-//    a raise is applied to the winner's own shard and propagated to its
-//    conflicting neighbors via kTagRaise messages, which the receivers
-//    *apply* — every satisfaction test reads only the local shard.  The
-//    kTagRaise payload carries the per-critical-edge increments exactly
-//    as RaiseRule::tight_raise computed them, i.e. capacity-normalized
-//    (delta/c(e) under kUnit) when capacity_aware_raises is on — the
-//    non-uniform profiles of src/capacity work end-to-end on the wire.
+// Phase 1 is the engine's lockstep epoch loop (framework/phase1.hpp); the
+// wire supplies its seams:
+//  - the dual store: one DualShard per processor
+//    (framework/dual_shard.hpp).  A raise is applied to the winner's own
+//    shard and posted to its conflicting neighbors as a kTagRaise message
+//    carrying the increments exactly as RaiseRule::tight_raise computed
+//    them (capacity-normalized when capacity_aware_raises is on); the
+//    receivers apply it at the step's closing round, so every
+//    satisfaction test reads only the local shard;
+//  - the MIS oracle: WireLubyMis (dist/luby_mis.hpp), Luby on the
+//    Runtime under the budgeted Luby schedule, over the neighborhoods the
+//    2-round edge-owner rendezvous of dist/discovery.hpp discovered (no
+//    ConflictGraph is materialized);
+//  - the idle hook: a tuple with nothing to raise (the rest of a stage
+//    whose frontier emptied, any stage of a group with no pass member)
+//    runs its rounds in silence.
+// Around it a pass keeps discovery, the phase-2 keep replay, final_lhs
+// over all instances and the degraded-mode certificate.
 //
 // A *pass* runs one raising rule over one instance class on fresh dual
 // shards.  run_distributed_protocol executes a single pass under
-// ProtocolOptions::rule; run_height_split_protocol executes the
-// Section 6 two-pass schedule — wide instances (h > 1/2) under kUnit,
-// the rest under kNarrow, each pass with its own fixed
-// (epochs, stages, steps) budget — and combines the two pruned
-// sub-solutions by the per-network better-of rule of Theorem 6.3,
+// ProtocolOptions::rule; run_height_split_protocol executes the Section 6
+// two-pass schedule — wide instances (h > 1/2) under kUnit, the rest
+// under kNarrow, each with its own fixed schedule — and combines the two
+// pruned sub-solutions by the per-network better-of rule of Theorem 6.3,
 // exactly as the modeled solve_height_split does.
 //
 // Every (epoch, stage, step) tuple spends exactly 2*luby_budget rounds of
 // Luby protocol plus 1 dual-propagation round, whether or not any work
-// remains — idle processors execute the rounds in silence.  Phase 2
-// replays the tuples in reverse, 1 round each (keep/drop notification).
-// A two-pass run additionally charges the per-network better-of
+// remains (a starved MIS's budget retries add mis_retry_rounds on top).
+// Phase 2 replays the tuples in reverse, 1 round each (keep/drop
+// notification).  A two-pass run additionally charges the better-of
 // combination an honest converge-cast (better_of_convergecast_rounds in
-// framework/two_phase.hpp: the profit totals cast up each tree, the
-// verdict broadcasts back — O(depth) rounds, zero when only one class
-// ran).  Hence the exact accounting identity the tests assert, per pass
-// and in total:
+// framework/two_phase.hpp, zero when only one class ran).  Hence the
+// exact accounting identity the tests assert, per pass and in total:
 //   rounds = discovery_rounds
 //          + sum_pass [ tuples_pass * (2*luby_budget + 1) + tuples_pass ]
 //          + combine_rounds,
@@ -56,13 +59,12 @@
 // prediction).  Both hold w.h.p.; the run remains feasible regardless.
 //
 // The whole pipeline is held to *exact* (==) equality against the
-// modeled engine — lockstep TwoPhaseEngine runs driven by the
-// LubyMis::budgeted mirror oracle — by tests/test_protocol_parity.cpp:
-// selected set, raise stack, per-instance final LHS (also against a
-// central DualState replay) and lambda, bit for bit.  To that end every
-// satisfaction test and slack computation reads the shard through
-// lhs_ordered (the ascending-edge beta walk), the float-for-float
-// operation order of the central DualState.
+// lockstep engine driven by the LubyMis::budgeted mirror oracle by
+// tests/test_protocol_parity.cpp: selected set, raise stack,
+// per-instance final LHS (also against a central DualState replay) and
+// lambda, bit for bit.  The shards are read through lhs_ordered (the
+// central DualState's float operation order), and the wire oracle retries
+// a starved MIS under the mirror's kDefaultMisMaxRetries bound.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +106,6 @@ struct ProtocolOptions {
   // to the fault-free run; when the retransmit budget exhausts, the run
   // is flagged degraded and its certificate is re-validated centrally.
   FaultPlan faults;
-  // Adaptive MIS budget retry bound: a step whose fixed Luby budget
-  // leaves undecided participants re-runs with the budget doubled per
-  // attempt, up to this many attempts (0 = old silent-degrade
-  // behavior).  Must equal the mirror oracle's default
-  // (kDefaultMisMaxRetries in dist/luby_mis.hpp, asserted there) or the
-  // lockstep parity with the modeled engine breaks.
-  int mis_max_retries = 2;
 };
 
 // One executed pass of the protocol: a raising rule over an instance
@@ -134,11 +129,9 @@ struct ProtocolPass {
   // Budget sufficiency (w.h.p. guarantees, observed).
   bool mis_ok = true;
   bool schedule_ok = true;
-  // Adaptive MIS budget retries: attempts entered (one per starved step
-  // per doubling) and the extra rounds their executed iterations cost —
-  // the adaptive part of the otherwise-fixed schedule, broken out so the
-  // round identity above stays exact.  Matches the modeled engine's
-  // SolveStats::mis_retries in lockstep (compared with ==).
+  // Adaptive MIS budget retries: attempts entered and the rounds their
+  // iterations cost, broken out so the round identity above stays exact.
+  // mis_retries equals the lockstep engine's SolveStats::mis_retries.
   std::int64_t mis_retries = 0;
   std::int64_t mis_retry_rounds = 0;
   // Degraded-mode contract: degraded is true iff the transport's
@@ -159,9 +152,8 @@ struct ProtocolPass {
   // so the whole vector must match a central DualState replay of the
   // pass's raise stack (and does, exactly).
   std::vector<double> final_lhs;
-  // One entry per *raising* phase-1 step in raise order (idle tuples
-  // contribute no entry, matching the modeled engine's stack exactly);
-  // only when keep_stack.
+  // The engine's raise stack: one row per *raising* step, in raise
+  // order; only when keep_stack.
   std::vector<std::vector<InstanceId>> raise_stack;
 };
 

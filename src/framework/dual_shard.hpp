@@ -4,10 +4,11 @@
 // In the message-level protocol no processor holds the global alpha/beta
 // vectors.  Instance d's processor stores exactly the variables its own
 // dual constraint reads: alpha(a_d) and beta(e) for every e on path(d).
-// A raise is applied locally and shipped to the conflicting neighbors as
-// a kTagRaise message (encode_raise below); a receiving shard applies the
-// alpha increment when the demand matches and each beta increment whose
-// edge lies on its own path.
+// The shards are the protocol's dual store for the engine's phase-1 loop
+// (dist/protocol_scheduler.cpp): a raise is applied locally and shipped
+// to the conflicting neighbors as a kTagRaise message (encode_raise
+// below); a receiving shard applies the alpha increment when the demand
+// matches and each beta increment whose edge lies on its own path.
 //
 // Completeness of the propagation: a raise of instance j touches
 // alpha(a_j) and beta(e) for e in pi(j) subset path(j).  Any instance i
@@ -39,26 +40,20 @@ class DualShard {
   DemandId demand() const { return demand_; }
   double alpha() const { return alpha_; }
   double beta(EdgeId e) const;  // 0 when e is off the local path
-  double beta_sum() const { return beta_sum_; }
-
-  // LHS of the local dual constraint under the rule's beta coefficient.
-  double lhs(double beta_coeff) const {
-    return alpha_ + beta_coeff * beta_sum_;
-  }
 
   // Ordered beta sum: accumulates beta_ in ascending-edge order, exactly
-  // the walk DualState::beta_sum performs over the same path.  The running
-  // beta_sum_ adds increments in *arrival* order instead, which is the
-  // same real number but not always the same double.  The message-level
-  // protocol uses this form so its satisfaction tests and raise amounts are
-  // bit-identical to the modeled engine and the central-DualState
-  // reference — the protocol parity suite (tests/test_protocol_parity.cpp)
-  // compares them with ==, not tolerances.
+  // the walk DualState::beta_sum performs over the same path (a running
+  // sum in increment *arrival* order is the same real number but not
+  // always the same double).  So the protocol's satisfaction tests and
+  // raise amounts are bit-identical to the modeled engine and the
+  // central-DualState reference — the protocol parity suite
+  // (tests/test_protocol_parity.cpp) compares them with ==.
   double beta_sum_ordered() const {
     double s = 0.0;
     for (double b : beta_) s += b;
     return s;
   }
+  // LHS of the local dual constraint under the rule's beta coefficient.
   double lhs_ordered(double beta_coeff) const {
     return alpha_ + beta_coeff * beta_sum_ordered();
   }
@@ -67,7 +62,6 @@ class DualShard {
   // Applies the increment when e is on the local path; returns whether it
   // was.  (Remote raises legitimately carry edges this shard ignores.)
   bool raise_beta(EdgeId e, double amount);
-  int path_length() const { return static_cast<int>(edges_.size()); }
 
   // Applies a neighbor's raise notification (encode_raise wire format).
   void apply_raise(std::span<const double> payload);
@@ -79,7 +73,6 @@ class DualShard {
   std::vector<EdgeId> edges_;  // sorted ascending
   std::vector<double> beta_;   // parallel to edges_
   double alpha_ = 0.0;
-  double beta_sum_ = 0.0;
 };
 
 // Wire format of a kTagRaise payload:

@@ -1,11 +1,11 @@
 #include "framework/two_phase.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
 
+#include "framework/phase1.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -77,18 +77,6 @@ void SolveStats::merge(const SolveStats& other) {
   epoch_setup_ns += other.epoch_setup_ns;
 }
 
-namespace {
-
-// Monotone wall-clock reads for the stats' timing breakdown.  Timing
-// only — no field the parity suites compare with == depends on these.
-inline std::int64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TwoPhaseEngine — shared setup
 
@@ -141,7 +129,8 @@ void TwoPhaseEngine::count_notifications(InstanceId i, SolveStats& stats) {
   stats.message_bytes += neighbors * 48;
 }
 
-TwoPhaseEngine::StageSchedule TwoPhaseEngine::prepare(SolveStats& stats) const {
+TwoPhaseEngine::StageSchedule TwoPhaseEngine::prepare(
+    SolveStats& stats, const StageParams* pinned) const {
   StageSchedule sched;
   // Delta, h_min, xi and the multi-stage count come from the shared
   // derivation (over the active instances only: the wide/narrow split
@@ -150,8 +139,8 @@ TwoPhaseEngine::StageSchedule TwoPhaseEngine::prepare(SolveStats& stats) const {
   // must replay the same stage schedule the cold solve uses, or the
   // per-component duals stop being exchangeable between the two.
   const StageParams params =
-      pinned_params_ != nullptr
-          ? *pinned_params_
+      pinned != nullptr
+          ? *pinned
           : derive_stage_params(*problem_, *plan_, active_mask_,
                                 config_.rule, config_.epsilon,
                                 config_.xi_override);
@@ -205,75 +194,73 @@ void TwoPhaseEngine::finish(SolveResult& result,
   }
 }
 
-SolveResult TwoPhaseEngine::run() {
-  TRACE_SPAN("engine", "run");
-  SolveResult result;
-  stack_tags_.clear();
-  const StageSchedule sched = prepare(result.stats);
-  if (config_.keep_lhs)
-    result.final_lhs.assign(
-        static_cast<std::size_t>(problem_->num_instances()), 0.0);
-  if (!sched.any_active) {
-    result.stats.lambda_observed = 1.0;
-    return result;
+// ---------------------------------------------------------------------------
+// The model's dual store: one alpha per demand, one beta per global edge,
+// and a cached LHS per instance.  A raise writes its O(|critical edges|)
+// values and marks stale, through the Problem's CSR edge->instances index,
+// exactly the instances whose constraints read a raised variable; a stale
+// LHS is recomputed by the ordered beta walk (DualState::lhs's operation
+// order) when next read, so tests/test_engine_parity.cpp can compare with
+// ==.  The model runs no rounds: the step and idle hooks are empty.
+
+namespace {
+
+struct ModelDuals {
+  const Problem* problem;
+  bool raise_alpha;
+  std::vector<double> alpha, beta, lhs_cache;
+  std::vector<char> lhs_fresh;
+
+  ModelDuals(const Problem& p, bool raises_alpha)
+      : problem(&p),
+        raise_alpha(raises_alpha),
+        alpha(static_cast<std::size_t>(p.num_demands()), 0.0),
+        beta(static_cast<std::size_t>(p.num_global_edges()), 0.0),
+        lhs_cache(static_cast<std::size_t>(p.num_instances()), 0.0),
+        lhs_fresh(static_cast<std::size_t>(p.num_instances()), 1) {}
+
+  double lhs(InstanceId i, double beta_coeff) {
+    const auto k = static_cast<std::size_t>(i);
+    if (!lhs_fresh[k]) {
+      const DemandInstance& inst = problem->instance(i);
+      double s = 0.0;
+      for (EdgeId e : inst.edges) s += beta[static_cast<std::size_t>(e)];
+      lhs_cache[k] =
+          alpha[static_cast<std::size_t>(inst.demand)] + beta_coeff * s;
+      lhs_fresh[k] = 1;
+    }
+    return lhs_cache[k];
   }
-  run_phase1(sched, result);
-  return result;
+
+  void raise(InstanceId i, double delta, std::span<const EdgeId> critical,
+             std::span<const double> increments) {
+    const DemandId a = problem->instance(i).demand;
+    if (raise_alpha) {
+      alpha[static_cast<std::size_t>(a)] += delta;
+      for (InstanceId k : problem->instances_of_demand(a))
+        lhs_fresh[static_cast<std::size_t>(k)] = 0;
+    }
+    for (std::size_t c = 0; c < critical.size(); ++c) {
+      beta[static_cast<std::size_t>(critical[c])] += increments[c];
+      for (InstanceId k : problem->instances_on_edge(critical[c]))
+        lhs_fresh[static_cast<std::size_t>(k)] = 0;
+    }
+  }
+
+  void end_step() {}
+  void idle(std::int64_t /*steps*/) {}
+};
+
+}  // namespace
+
+SolveResult TwoPhaseEngine::run() {
+  ModelDuals duals(*problem_, config_.raise_alpha);
+  return run_on(duals, nullptr);
 }
 
 SolveResult TwoPhaseEngine::run_warm(const StageParams& pinned) {
-  pinned_params_ = &pinned;
-  SolveResult result = run();
-  pinned_params_ = nullptr;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Phase 1: per-variable duals (one alpha per demand, one beta per global
-// edge) + cached LHS + the per-stage unsatisfied frontier.  A raise marks
-// stale, through the CSR edge->instances index, exactly the instances whose
-// constraints read a raised variable; everyone else's cached LHS stays
-// valid.  All arithmetic (the ordered beta walk, the objective accumulation
-// order) deliberately replays the central reference's operation order (one
-// DualState, full rescans), so the two agree bit for bit —
-// tests/test_engine_parity.cpp compares with ==.
-
-void TwoPhaseEngine::reset_duals() {
-  const auto n = static_cast<std::size_t>(problem_->num_instances());
-  alpha_.assign(static_cast<std::size_t>(problem_->num_demands()), 0.0);
-  beta_.assign(static_cast<std::size_t>(problem_->num_global_edges()), 0.0);
-  lhs_cache_.assign(n, 0.0);
-  lhs_fresh_.assign(n, 1);  // all-zero duals
-}
-
-double TwoPhaseEngine::lhs_local(InstanceId i, double beta_coeff) {
-  const auto k = static_cast<std::size_t>(i);
-  if (!lhs_fresh_[k]) {
-    const DemandInstance& inst = problem_->instance(i);
-    double s = 0.0;
-    for (EdgeId e : inst.edges) s += beta_[static_cast<std::size_t>(e)];
-    lhs_cache_[k] = alpha_[static_cast<std::size_t>(inst.demand)] +
-                    beta_coeff * s;
-    lhs_fresh_[k] = 1;
-  }
-  return lhs_cache_[k];
-}
-
-void TwoPhaseEngine::apply_raise(InstanceId i, double delta,
-                                 std::span<const double> increments) {
-  const DemandInstance& inst = problem_->instance(i);
-  if (config_.raise_alpha) {
-    alpha_[static_cast<std::size_t>(inst.demand)] += delta;
-    for (InstanceId k : problem_->instances_of_demand(inst.demand))
-      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-  }
-  const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-  for (std::size_t c = 0; c < critical.size(); ++c) {
-    const EdgeId e = critical[c];
-    beta_[static_cast<std::size_t>(e)] += increments[c];
-    for (InstanceId k : problem_->instances_on_edge(e))
-      lhs_fresh_[static_cast<std::size_t>(k)] = 0;
-  }
+  ModelDuals duals(*problem_, config_.raise_alpha);
+  return run_on(duals, &pinned);
 }
 
 void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
@@ -307,162 +294,6 @@ void TwoPhaseEngine::bookkeep_raise(InstanceId i, double delta,
 
   if (config_.count_messages) count_notifications(i, stats);
 }
-
-void TwoPhaseEngine::run_phase1(const StageSchedule& sched,
-                                SolveResult& result) {
-  SolveStats& stats = result.stats;
-  const RaiseRule rule(config_.rule, *problem_, config_.raise_alpha,
-                       config_.capacity_aware_raises);
-  reset_duals();
-  double objective = 0.0;
-
-  std::vector<std::vector<InstanceId>> stack;
-  std::vector<InstanceId> raised_order;
-  std::vector<InstanceId> members;
-
-  for (int g = 0; g < plan_->num_groups; ++g) {
-    const auto setup_start = std::chrono::steady_clock::now();
-    members.clear();
-    for (InstanceId i : plan_->members[static_cast<std::size_t>(g)])
-      if (is_active(i)) members.push_back(i);
-    stats.epoch_setup_ns += elapsed_ns(setup_start);
-    if (members.empty()) continue;
-    ++stats.epochs;
-    TRACE_SPAN1("engine", "epoch", "group", g);
-    run_epoch(members, rule, sched, g, objective, stats, stack, raised_order);
-  }
-
-  // Certification: every instance reports its own satisfaction level (the
-  // same operation sequence as observed_lambda over a central DualState).
-  stats.dual_objective = objective;
-  double lambda = 1.0;
-  bool any = false;
-  for (InstanceId i = 0; i < problem_->num_instances(); ++i) {
-    if (!is_active(i)) continue;
-    const DemandInstance& inst = problem_->instance(i);
-    const double lhs = lhs_local(i, rule.beta_coeff(inst));
-    const double level = lhs / inst.profit;
-    lambda = any ? std::min(lambda, level) : level;
-    any = true;
-  }
-  stats.lambda_observed = any ? lambda : 1.0;
-  if (config_.keep_lhs) {
-    for (InstanceId i = 0; i < problem_->num_instances(); ++i) {
-      if (!is_active(i)) continue;
-      const DemandInstance& inst = problem_->instance(i);
-      result.final_lhs[static_cast<std::size_t>(i)] =
-          lhs_local(i, rule.beta_coeff(inst));
-    }
-  }
-  finish(result, stack);
-}
-
-// ---------------------------------------------------------------------------
-// One epoch: the group's stages run inline on the caller's oracle.  Each
-// per-variable dual receives its increments in (step, id) order, exactly
-// the chronological order the reference applies them in, which keeps the
-// engine bit-identical to it.
-
-void TwoPhaseEngine::run_epoch(
-    const std::vector<InstanceId>& members, const RaiseRule& rule,
-    const StageSchedule& sched, int group, double& objective,
-    SolveStats& stats, std::vector<std::vector<InstanceId>>& stack,
-    std::vector<InstanceId>& raised_order) {
-  TRACE_SPAN2("engine", "solve", "size", members.size(), "group", group);
-  for (int j = 1; j <= sched.stages_per_epoch; ++j) {
-    ++stats.stages;
-    const double target = stage_target(sched, j);
-    int steps_this_stage = 0;
-    int rows_this_stage = 0;
-    bool scanned = false;
-    for (;;) {
-      if (!scanned) {
-        unsat_.clear();
-        for (InstanceId i : members)
-          if (unsatisfied_local(i, rule, target)) unsat_.push_back(i);
-        scanned = true;
-      } else {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < unsat_.size(); ++r)
-          if (unsatisfied_local(unsat_[r], rule, target))
-            unsat_[w++] = unsat_[r];
-        unsat_.resize(w);
-      }
-      if (config_.lockstep && steps_this_stage >= sched.lockstep_budget) {
-        if (!unsat_.empty()) stats.lockstep_ok = false;
-        break;
-      }
-      if (unsat_.empty()) {
-        // U is empty before the budget: the lockstep schedule idles
-        // through the remaining steps (one Luby iteration + propagation
-        // each) exactly as the reference does.
-        if (config_.lockstep) {
-          const int idle = sched.lockstep_budget - steps_this_stage;
-          stats.steps += idle;
-          stats.mis_rounds += 2 * static_cast<std::int64_t>(idle);
-          stats.comm_rounds += 3 * static_cast<std::int64_t>(idle);
-          steps_this_stage = sched.lockstep_budget;
-        }
-        break;
-      }
-      const MisResult mis = oracle_->run(
-          std::span<const InstanceId>(unsat_.data(), unsat_.size()));
-      ++steps_this_stage;
-      ++stats.steps;
-      stats.mis_rounds += mis.rounds;
-      stats.comm_rounds += mis.rounds + 1;
-      stats.mis_retries += mis.retries;
-      TS_REQUIRE(steps_this_stage <= kMaxStepsPerStage);
-      if (mis.selected.empty()) {
-        stats.mis_ok = false;
-        ++stats.mis_failed_steps;
-        TRACE_COUNTER("engine.mis_failed_steps", 1);
-        if (config_.lockstep) continue;
-        stats.lockstep_ok = false;
-        break;
-      }
-      winners_.clear();
-      for (InstanceId i : mis.selected) {
-        const DemandInstance& inst = problem_->instance(i);
-        const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-        const double slack = inst.profit - lhs_local(i, rule.beta_coeff(inst));
-        TS_DCHECK(slack > 0.0);
-        const double delta =
-            rule.tight_raise(inst, critical, slack, increments_);
-        apply_raise(i, delta, increments_);
-        // The raise must satisfy i's constraint tightly (paper, 3.2).
-        TS_DCHECK(std::abs(lhs_local(i, rule.beta_coeff(inst)) -
-                           inst.profit) <= 1e-6 * std::max(1.0, inst.profit));
-        winners_.emplace_back(i, delta);
-      }
-      // Winners are logged in ascending id order whatever order the
-      // oracle reports them in (raises within a step commute, so the
-      // order is safe and deterministic); the reference raises in the
-      // same order.  Ids are unique, so the pair sort is an id sort; the
-      // in-repo oracles already report ascending ids, which the check
-      // passes without sorting.
-      if (!std::is_sorted(winners_.begin(), winners_.end()))
-        std::sort(winners_.begin(), winners_.end());
-      std::vector<InstanceId> row;
-      row.reserve(winners_.size());
-      for (const auto& [i, delta] : winners_) {
-        const DemandInstance& inst = problem_->instance(i);
-        const auto& critical = plan_->critical[static_cast<std::size_t>(i)];
-        rule.beta_increments(inst, critical, delta, increments_);
-        bookkeep_raise(i, delta, increments_, objective, stats, raised_order);
-        row.push_back(i);
-      }
-      if (config_.keep_stack)
-        stack_tags_.push_back(StackTag{group, j, rows_this_stage});
-      ++rows_this_stage;
-      stack.push_back(std::move(row));
-    }
-    stats.max_steps_in_stage =
-        std::max(stats.max_steps_in_stage, steps_this_stage);
-  }
-}
-
-// ---------------------------------------------------------------------------
 
 int lockstep_step_budget(const Problem& problem, int slack) {
   // Claim 5.2 budget with guards: a zero/denormal min_profit or an

@@ -21,23 +21,27 @@
 // algorithms; dist/ supplies the round-counting Luby oracle for the
 // distributed ones.
 //
-// Phase 1 has one execution path.  The dual state is the paper's: one
-// alpha per demand and one beta per global edge (Sections 3.1 and 6.1),
-// as in DualState, with a cached LHS per instance.  A raise writes its
-// O(|critical edges|) values and marks stale, through the Problem's CSR
-// edge->instances index, exactly the instances whose constraints read a
-// raised variable; a stale LHS is recomputed by the ordered beta walk over
-// the instance's path when next read.  A per-stage *unsatisfied frontier*
-// shrinks monotonically (raises never decrease an LHS within a stage), so
-// a step tests only the previous frontier instead of rescanning the group.
-// Every epoch runs its whole group inline on the caller's oracle, as one
-// synchronous MIS-and-raise computation (paper, Section 5); the engine
-// starts no threads.
+// Phase 1 is written once (framework/phase1.hpp), as a template over
+// the *dual store* it reads and raises.  Two stores instantiate it, chosen
+// at compile time (no virtual call per raise or per LHS read):
+//  - the model's store (run() and run_warm()): the paper's dual state,
+//    one alpha per demand and one beta per global edge (Sections 3.1 and
+//    6.1), as in DualState, with a cached LHS per instance;
+//  - the message-level protocol's store (dist/protocol_scheduler.cpp):
+//    one DualShard per processor, raises posted to the discovered
+//    neighbors, and every step and idle step run as rounds on the
+//    Runtime (paper, Section 5 "Distributed Implementation").
+// A per-stage *unsatisfied frontier* shrinks monotonically (raises never
+// decrease an LHS within a stage), so a step tests only the previous
+// frontier instead of rescanning the group.  Every epoch runs its whole
+// group inline on the caller's oracle, as one synchronous MIS-and-raise
+// computation; the engine starts no threads.
 //
 // The parity oracle is a central reference engine (one central
 // DualState, full member rescan every step) that lives in the test
 // support library (tests/support/central_reference.hpp), not here; the
-// parity suites hold every output of this engine to exact == with it.
+// parity suites hold every output of this engine, on either store, to
+// exact == with it.
 #pragma once
 
 #include <memory>
@@ -236,6 +240,15 @@ class TwoPhaseEngine {
   // schedule and silently break the exact (==) warm-vs-cold parity.
   SolveResult run_warm(const StageParams& pinned);
 
+  // Phase 1 on a caller-supplied dual store (framework/phase1.hpp), with
+  // the stage schedule pinned to `pinned` when non-null.  A store provides
+  // lhs(i, beta_coeff), raise(i, delta, critical, increments), end_step()
+  // — once per executed step, after its raises — and idle(k), called in
+  // lockstep mode for k steps with nothing to raise: the rest of a stage
+  // whose frontier emptied, and every stage of a group with no member.
+  template <class Store>
+  SolveResult run_on(Store& store, const StageParams* pinned);
+
  private:
   // The stage schedule, derived once per run from the active instances.
   struct StageSchedule {
@@ -249,34 +262,20 @@ class TwoPhaseEngine {
   bool is_active(InstanceId i) const {
     return active_mask_[static_cast<std::size_t>(i)] != 0;
   }
-  StageSchedule prepare(SolveStats& stats) const;
+  StageSchedule prepare(SolveStats& stats, const StageParams* pinned) const;
   double stage_target(const StageSchedule& sched, int stage) const;
-  void run_phase1(const StageSchedule& sched, SolveResult& result);
   // The scaled-dual upper bound, phase 2, and the optional stack handoff.
   void finish(SolveResult& result,
               std::vector<std::vector<InstanceId>>& stack);
 
-  void reset_duals();  // per-run: zero duals, every cached LHS fresh
-  // Instance i's dual-constraint LHS, alpha(a_i) + beta_coeff * the beta
-  // sum over path(i) in path order (DualState::lhs's operation order),
-  // recomputed only when a raise has marked it stale.
-  double lhs_local(InstanceId i, double beta_coeff);
-  bool unsatisfied_local(InstanceId i, const RaiseRule& rule, double target) {
-    const DemandInstance& inst = problem_->instance(i);
-    return lhs_local(i, rule.beta_coeff(inst)) <
-           target * inst.profit - kEps * inst.profit;
-  }
-  // Applies a raise of instance i to alpha and the critical-edge betas and
-  // marks stale the cached LHS of every instance that reads them.
-  void apply_raise(InstanceId i, double delta,
-                   std::span<const double> increments);
   void bookkeep_raise(InstanceId i, double delta,
                       std::span<const double> increments, double& objective,
                       SolveStats& stats,
                       std::vector<InstanceId>& raised_order);
   // Runs one epoch's stages over the group's active `members` on the
   // caller's oracle: MIS, raises and their bookkeeping step by step.
-  void run_epoch(const std::vector<InstanceId>& members,
+  template <class Store>
+  void run_epoch(Store& store, const std::vector<InstanceId>& members,
                  const RaiseRule& rule, const StageSchedule& sched, int group,
                  double& objective, SolveStats& stats,
                  std::vector<std::vector<InstanceId>>& stack,
@@ -292,19 +291,9 @@ class TwoPhaseEngine {
   std::vector<char> active_mask_;
   std::vector<int> demand_seen_stamp_;
   int notify_stamp_ = 0;
-  // Set for the duration of run_warm(): prepare() uses these instead of
-  // deriving the schedule from the restricted active mask.
-  const StageParams* pinned_params_ = nullptr;
   // Per-row (group, stage, step) tags, recorded alongside every stack
   // push when keep_stack is set and handed to the result by finish().
   std::vector<StackTag> stack_tags_;
-
-  // Dual state, reset by every run(): one alpha per demand, one beta per
-  // global edge, and the cached-LHS layer over them.
-  std::vector<double> alpha_;
-  std::vector<double> beta_;
-  std::vector<double> lhs_cache_;
-  std::vector<char> lhs_fresh_;
 
   // Step scratch, reused across epochs so the hot loop stops allocating.
   std::vector<InstanceId> unsat_;

@@ -251,7 +251,7 @@ TEST(ShardedDual, RoundIdentityIncludesDiscovery) {
 TEST(DualShardUnit, LocalRaisesAndRemoteApplication) {
   const std::vector<EdgeId> path{2, 5, 9};
   DualShard shard(/*demand=*/3, {path.data(), path.size()});
-  EXPECT_DOUBLE_EQ(shard.lhs(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(shard.lhs_ordered(1.0), 0.0);
 
   shard.raise_alpha(0.5);
   EXPECT_TRUE(shard.raise_beta(5, 0.25));
@@ -259,8 +259,8 @@ TEST(DualShardUnit, LocalRaisesAndRemoteApplication) {
   EXPECT_DOUBLE_EQ(shard.alpha(), 0.5);
   EXPECT_DOUBLE_EQ(shard.beta(5), 0.25);
   EXPECT_DOUBLE_EQ(shard.beta(7), 0.0);
-  EXPECT_DOUBLE_EQ(shard.lhs(1.0), 0.75);
-  EXPECT_DOUBLE_EQ(shard.lhs(0.5), 0.5 + 0.5 * 0.25);
+  EXPECT_DOUBLE_EQ(shard.lhs_ordered(1.0), 0.75);
+  EXPECT_DOUBLE_EQ(shard.lhs_ordered(0.5), 0.5 + 0.5 * 0.25);
 
   // A neighbor's raise: same demand -> alpha applies; edges intersected
   // with the local path.
@@ -271,7 +271,7 @@ TEST(DualShardUnit, LocalRaisesAndRemoteApplication) {
   shard.apply_raise({payload.data(), payload.size()});
   EXPECT_DOUBLE_EQ(shard.alpha(), 0.55);
   EXPECT_DOUBLE_EQ(shard.beta(5), 0.35);
-  EXPECT_DOUBLE_EQ(shard.beta_sum(), 0.35);
+  EXPECT_DOUBLE_EQ(shard.beta_sum_ordered(), 0.35);
 
   // A different demand's raise: alpha untouched.
   const std::vector<double> other = encode_raise(

@@ -9,15 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "decomp/layered.hpp"
+#include "dist/luby_mis.hpp"
 #include "dist/scheduler.hpp"
 #include "framework/two_phase.hpp"
 #include "obs/metrics.hpp"
+#include "support/conflict_graph.hpp"
 #include "test_util.hpp"
 
 namespace treesched {
@@ -271,6 +274,69 @@ TEST(ObsMetrics, MisFailedStepsCounterMatchesStats) {
                 .counter("engine.mis_failed_steps")
                 .value(),
             run.stats.mis_failed_steps);
+}
+
+// Phase 2 of the wire protocol replays the fixed schedule in reverse, one
+// round per (epoch, stage, step) tuple, and a kept instance announces to
+// its neighbors in the round of the tuple that raised it last.  With no
+// failed MIS, a stage's k-th stack row is its k-th step, so the lockstep
+// engine's stack tags give every row's tuple; the runtime's per-round
+// spans must carry exactly those keeps in exactly those rounds.
+TEST(ObsTrace, ProtocolKeepsGoOutInTheirTuplesRound) {
+  TraceReset guard;
+  const Problem p = small_tree_problem(5, 24, 2, 10);
+  const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+  ProtocolOptions options;
+  options.epsilon = 0.3;
+  options.keep_stack = true;
+  obs::enable_tracing();
+  const ProtocolRunResult run = run_distributed_protocol(p, plan, options);
+  obs::disable_tracing();
+  ASSERT_EQ(run.passes.size(), 1u);
+  const ProtocolPass& pass = run.passes.front();
+  ASSERT_EQ(obs::trace_stats().overwritten, 0);
+  std::vector<std::int64_t> round_messages;
+  for (const obs::SpanRecord& s : obs::collect_spans())
+    if (std::string(s.category) == "wire")
+      round_messages.push_back(s.arg_val[0]);
+  ASSERT_EQ(static_cast<std::int64_t>(round_messages.size()), run.rounds);
+
+  SolverConfig config;
+  config.epsilon = options.epsilon;
+  config.lockstep = true;
+  config.keep_stack = true;
+  LubyMis oracle = LubyMis::budgeted(p, options.seed, run.luby_budget);
+  const SolveResult mirror = solve_with_plan(p, plan, config, &oracle);
+  ASSERT_EQ(mirror.stats.mis_failed_steps, 0);
+  ASSERT_EQ(mirror.raise_stack, pass.raise_stack);
+
+  std::vector<InstanceId> all(static_cast<std::size_t>(p.num_instances()));
+  for (InstanceId i = 0; i < p.num_instances(); ++i)
+    all[static_cast<std::size_t>(i)] = i;
+  const ConflictGraph graph(p, {all.data(), all.size()});
+  std::vector<char> kept(all.size(), 0);
+  for (InstanceId i : run.solution.selected)
+    kept[static_cast<std::size_t>(i)] = 1;
+  std::vector<std::int64_t> expected(static_cast<std::size_t>(pass.tuples),
+                                     0);
+  for (std::size_t r = mirror.raise_stack.size(); r-- > 0;) {
+    const StackTag& tag = mirror.stack_tags[r];
+    const std::int64_t tuple =
+        (static_cast<std::int64_t>(tag.group) * pass.stages_per_epoch +
+         tag.stage - 1) * pass.steps_per_stage + tag.step;
+    for (InstanceId i : mirror.raise_stack[r]) {
+      if (!kept[static_cast<std::size_t>(i)]) continue;
+      kept[static_cast<std::size_t>(i)] = 0;  // announces once, latest row
+      expected[static_cast<std::size_t>(pass.tuples - 1 - tuple)] +=
+          static_cast<std::int64_t>(graph.neighbors(i).size());
+    }
+  }
+  const std::vector<std::int64_t> phase2(
+      round_messages.end() - pass.tuples, round_messages.end());
+  EXPECT_EQ(phase2, expected);
+  EXPECT_GT(std::count_if(expected.begin(), expected.end(),
+                          [](std::int64_t m) { return m > 0; }),
+            1);
 }
 
 #endif  // TREESCHED_TRACING_DISABLED

@@ -402,6 +402,25 @@ TEST(ProtocolParity, AllWideDegeneratesToOnePass) {
   EXPECT_EQ(split.bytes, single.bytes);
 }
 
+TEST(ProtocolParity, StarvedLubyBudgetMatchesMirror) {
+  // A one-iteration Luby budget starves the MIS on 64-instance trees, so
+  // the budget retry (doubling per attempt) runs on the wire and in the
+  // mirror oracle alike; both must still agree exactly.
+  std::int64_t retries = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Problem p = small_tree_problem(seed, 64, 1, 400);
+    const LayeredPlan plan = build_tree_layered_plan(p, DecompKind::kIdeal);
+    ProtocolOptions options;
+    options.epsilon = 0.2;
+    options.seed = seed;
+    options.luby_budget = 1;
+    expect_single_pass_parity(p, plan, options,
+                              "starved seed=" + std::to_string(seed));
+    retries += run_distributed_protocol(p, plan, options).mis_retries;
+  }
+  EXPECT_GT(retries, 0) << "no step needed a retry: the path is untested";
+}
+
 TEST(ProtocolParity, NonUniformCapacityProfiles) {
   // src/capacity profiles end-to-end on the wire: the kTagRaise payloads
   // carry capacity-normalized increments, and both the capacity-aware

@@ -123,6 +123,27 @@ class PhaseTableTest(unittest.TestCase):
         self.assertLessEqual(sum(r["self_pct"] for r in rows.values()),
                              100.0)
 
+    def test_protocol_window_covers_discovery_and_passes(self):
+        # A wire protocol run: discovery, then a pass whose phase 1 is an
+        # engine run and whose phase-2 replay follows it.  The window spans
+        # discovery through the end of the pass, not just the engine run.
+        events = [
+            span("protocol", "discovery", 10, 40, 0),
+            span("protocol", "pass", 60, 200, 0),
+            span("engine", "run", 70, 100, 0),
+            span("protocol", "phase2_replay", 180, 70, 0),
+            span("cli", "report", 300, 20, 0),  # after the run
+        ]
+        _, spans = trace_report.parse_events(events)
+        start, end, label = trace_report.analysis_window(spans)
+        self.assertEqual((start, end), (10.0, 260.0))
+        self.assertIn("3 engine/run, protocol/discovery, protocol/pass",
+                      label)
+        trace_report.self_times(spans)
+        rows = dict(trace_report.phase_table(spans, (start, end)))
+        self.assertNotIn("cli/report", rows)
+        self.assertAlmostEqual(rows["protocol/pass"]["self"], 30.0)
+
 
 if __name__ == "__main__":
     unittest.main()

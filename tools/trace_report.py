@@ -19,11 +19,13 @@ CLI and the benches), and prints:
   * the registry metrics embedded in otherData (counters + histogram
     summaries), when present.
 
-The analysis window runs from the first engine/run span's start to the
-last one's end when the trace has any (so process startup and JSON
-dumping do not dilute utilization; a height-split solve or an online
-run records several), otherwise it is the full extent of the recorded
-spans.  The phase table and the critical-path line count only spans
+The analysis window runs from the first run span's start to the last
+one's end when the trace has any (so process startup and JSON dumping
+do not dilute utilization; a height-split solve or an online run
+records several), otherwise it is the full extent of the recorded
+spans.  Run spans are engine/run and the wire protocol's
+protocol/discovery and protocol/pass (a pass runs the engine inside
+it).  The phase table and the critical-path line count only spans
 lying wholly inside the window, so no share can pass 100%.
 
 Usage: tools/trace_report.py trace.json [--top N]
@@ -104,14 +106,19 @@ def parse_events(events):
     return thread_names, spans
 
 
+RUN_SPANS = {("engine", "run"), ("protocol", "discovery"),
+             ("protocol", "pass")}
+
+
 def analysis_window(spans):
-    """(start, end, label): first engine/run start to last engine/run end
+    """(start, end, label): first run span start to last run span end
     when present, else the full extent of the spans."""
-    run_spans = [s for s in spans
-                 if s["cat"] == "engine" and s["name"] == "run"]
+    run_spans = [s for s in spans if (s["cat"], s["name"]) in RUN_SPANS]
     if run_spans:
-        label = ("engine/run span" if len(run_spans) == 1 else
-                 f"first to last of {len(run_spans)} engine/run spans")
+        names = ", ".join(sorted({f'{s["cat"]}/{s["name"]}'
+                                  for s in run_spans}))
+        label = (f"{names} span" if len(run_spans) == 1 else
+                 f"first to last of {len(run_spans)} {names} spans")
         return (min(s["ts"] for s in run_spans),
                 max(s["ts"] + s["dur"] for s in run_spans), label)
     return (min(s["ts"] for s in spans),
